@@ -373,13 +373,14 @@ def cmd_analyze(args, argv):
     data = _dataset_from_args(args)
     query = _query_from_args(args)
 
-    med_fit = fit_mediator(data)
-    out_fit = fit_outcome(data)
-    table = effect_table(query, med_fit.model, out_fit.model)
-
     boot = None
     if args.bootstrap > 0:
         boot = bootstrap_effects(data, query, args.bootstrap, args.level, seed=args.seed)
+        med_fit, out_fit, table = boot.mediator_fit, boot.outcome_fit, boot.point
+    else:
+        med_fit = fit_mediator(data)
+        out_fit = fit_outcome(data)
+        table = effect_table(query, med_fit.model, out_fit.model)
 
     entries = _effect_entries(table)
     if boot is not None:

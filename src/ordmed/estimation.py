@@ -1,9 +1,18 @@
 """Maximum-likelihood fitting of both regressions by Newton-Raphson.
 
-Both likelihoods are smooth and low-dimensional, so a full Newton step with a
-step-halving line search (and a damped gradient fallback when the Hessian is
-not usable) converges in a handful of iterations and yields the observed
-information as a by-product.
+Both likelihoods are smooth and low-dimensional, so one Newton loop serves
+both fits and yields the observed information as a by-product.  Each
+iteration tries the full Newton step (a damped gradient step when the Hessian
+is not usable) and halves it until the candidate is accepted: the
+log-likelihood must rise by more than a relative tie band of 1e-12, or stay
+within that band while max |gradient| falls.  The second rule lets Newton
+steps finish a fit whose likelihood is already flat to double precision.
+The fit stops when max |gradient| <= 1e-8, or when every halving is rejected
+(nothing measurable is left to gain).
+
+The proportional-odds log-likelihood, score and Hessian come from one
+array-valued kernel over all records; its derivatives are written in density
+ratios f/pi, so a category probability near underflow never produces a NaN.
 
 Threshold ordering in the outcome model is kept by optimizing over
 (alpha_1, log of successive gaps) and mapping standard errors back with the
@@ -41,7 +50,9 @@ class FitResult:
     ``model``: (gamma0, gammaX, gammaC...) for the mediator regression,
     (alpha_1..alpha_{J-1}, betaX, betaM, betaXM, betaC...) for the outcome
     regression.  Entries are NaN when the observed information is not
-    positive definite.
+    positive definite.  ``iterations`` counts accepted Newton steps and
+    ``evaluations`` counts evaluations of the log-likelihood with its score
+    and Hessian, the starting point included.
     """
 
     model: MediatorModel | OutcomeModel
@@ -50,6 +61,7 @@ class FitResult:
     iterations: int
     standard_errors: tuple[float, ...]
     converged: bool
+    evaluations: int
 
 
 def parameter_labels(model):
@@ -124,12 +136,12 @@ def fit_mediator(data: Dataset) -> FitResult:
     _require_full_rank(Z, "mediator design matrix (1, x, c)")
     m = data.m.astype(float)
 
-    theta, ll, grad, hess, iters, converged = _newton_maximize(
+    theta, ll, grad, hess, iters, evals = _newton_maximize(
         lambda t: _bernoulli_parts(t, Z, m), np.zeros(Z.shape[1]), "mediator model"
     )
-    se = _standard_errors(-hess)
+    se = _delta_method_errors(np.eye(theta.size), -hess)
     model = MediatorModel(theta[0], theta[1], tuple(theta[2:]))
-    return FitResult(model, ll, float(np.max(np.abs(grad))), iters, tuple(se), converged)
+    return FitResult(model, ll, float(np.max(np.abs(grad))), iters, tuple(se), True, evals)
 
 
 def fit_outcome(data: Dataset) -> FitResult:
@@ -158,7 +170,7 @@ def fit_outcome(data: Dataset) -> FitResult:
     else:
         phi0 = np.concatenate([alpha0[:1], np.log(np.diff(alpha0)), np.zeros(W.shape[1])])
 
-    phi, ll, grad_phi, hess_phi, iters, converged = _newton_maximize(
+    phi, ll, grad_phi, hess_phi, iters, evals = _newton_maximize(
         lambda ph: _outcome_parts_phi(ph, K, W, data.y, data.J), phi0, "outcome model"
     )
 
@@ -173,7 +185,7 @@ def fit_outcome(data: Dataset) -> FitResult:
             "the data cannot separate adjacent outcome levels"
         )
     model = OutcomeModel(tuple(alpha), beta[0], beta[1], beta[2], tuple(beta[3:]))
-    return FitResult(model, ll, float(np.max(np.abs(grad_phi))), iters, tuple(se), converged)
+    return FitResult(model, ll, float(np.max(np.abs(grad_phi))), iters, tuple(se), True, evals)
 
 
 # ----------------------------------------------------------------------
@@ -208,63 +220,59 @@ def _proportional_odds_parts(alpha, beta, W, y, J):
     """Log-likelihood, score and Hessian in the natural (alpha, beta)
     parameterization.  Returns (-inf, None, None) when any record's category
     probability is nonpositive, which the line search treats as a rejection.
+
+    Record i sits between the thresholds zh = alpha_{y_i} - eta_i above and
+    zl = alpha_{y_i - 1} - eta_i below (+-inf at the ends), so every
+    derivative of log pi_i is a function of the density ratios f(zh)/pi_i and
+    f(zl)/pi_i.  Per-threshold sums are gathered with ``bincount`` over the
+    upper and lower threshold index of each record.
     """
     K = J - 1
-    n, q = W.shape
     eta = W @ beta
-    Z = alpha[None, :] - eta[:, None]
+    ext = np.concatenate([[-np.inf], alpha, [np.inf]])
+    lo = y - 1
+    zh = ext[y] - eta
+    zl = ext[lo] - eta
+    a, b, ac, bc = expit(np.concatenate([zh, zl, -zh, -zl])).reshape(4, -1)
+    # F(zh) - F(zl) in cancellation-free product form
+    pi = bc * a * (-np.expm1(zl - zh))
+    if np.any(pi <= 0.0):
+        return -np.inf, None, None
+    ll = float(np.sum(np.log(pi)))
 
-    ll = 0.0
-    g_alpha = np.zeros(K)
-    g_beta = np.zeros(q)
-    Haa = np.zeros((K, K))
-    Hab = np.zeros((K, q))
-    Hbb = np.zeros((q, q))
+    # Densities fa = f(zh), fb = f(zl) of the logistic cdf F (f = F(1-F)),
+    # and the ratios ra = fa/pi, rb = fb/pi, s = F(zl)(1-F(zh))/pi.  With
+    # pi = F(zh) - F(zl) the derivatives of log pi reduce to sums of
+    # same-signed terms, so nothing cancels even where pi underflows towards
+    # zero:
+    #   d/dalpha_hi = ra,  d/dalpha_lo = -rb,  d/deta = F(zh) + F(zl) - 1,
+    #   d2/dalpha_hi2 = -ra (F(zh) + s),  d2/dalpha_lo2 = -rb (1 - F(zl) + s),
+    #   d2/dalpha_hi dalpha_lo = ra rb,  d2/dalpha_hi deta = fa,
+    #   d2/dalpha_lo deta = fb,  d2/deta2 = -(fa + fb).
+    fa = a * ac
+    fb = b * bc
+    ra = fa / pi
+    rb = fb / pi
+    s = b * ac / pi
 
-    for k in range(1, J + 1):
-        sel = y == k
-        nk = int(np.count_nonzero(sel))
-        if nk == 0:
-            continue
-        Wk = W[sel]
-        zh = Z[sel, k - 1] if k <= K else np.full(nk, np.inf)
-        zl = Z[sel, k - 2] if k >= 2 else np.full(nk, -np.inf)
-        a, ac = expit(zh), expit(-zh)
-        b, bc = expit(zl), expit(-zl)
-        # F(zh) - F(zl) in cancellation-free product form
-        pi = bc * a * (-np.expm1(zl - zh))
-        if np.any(pi <= 0.0):
-            return -np.inf, None, None
-        ll += float(np.sum(np.log(pi)))
+    def per_threshold(index, w):
+        # sum of w over the records whose ext[index] is alpha_1..alpha_K
+        return np.bincount(index, weights=w, minlength=J + 1)[1:J]
 
-        # logistic density values f = F(1-F) and their z-derivatives
-        fa = a * ac
-        fb = b * bc
-        fpa = fa * (ac - a)
-        fpb = fb * (bc - b)
-        pi2 = pi * pi
+    # cross derivatives of each record in the columns of its two thresholds
+    cross = np.zeros((y.size, J + 1))
+    records = np.arange(y.size)
+    cross[records, y] = fa
+    cross[records, lo] = fb
 
-        g_beta += Wk.T @ (-(fa - fb) / pi)
-        Hbb += Wk.T @ ((((fpa - fpb) * pi - (fa - fb) ** 2) / pi2)[:, None] * Wk)
-        if k <= K:
-            g_alpha[k - 1] += float(np.sum(fa / pi))
-            Haa[k - 1, k - 1] += float(np.sum((fpa * pi - fa * fa) / pi2))
-            Hab[k - 1] += Wk.T @ ((-fpa * pi + fa * (fa - fb)) / pi2)
-        if k >= 2:
-            g_alpha[k - 2] -= float(np.sum(fb / pi))
-            Haa[k - 2, k - 2] += float(np.sum((-fpb * pi - fb * fb) / pi2))
-            Hab[k - 2] += Wk.T @ ((fpb * pi - fb * (fa - fb)) / pi2)
-        if 2 <= k <= K:
-            off = float(np.sum(fa * fb / pi2))
-            Haa[k - 1, k - 2] += off
-            Haa[k - 2, k - 1] += off
-
-    grad = np.concatenate([g_alpha, g_beta])
-    hess = np.empty((K + q, K + q))
-    hess[:K, :K] = Haa
-    hess[:K, K:] = Hab
-    hess[K:, :K] = Hab.T
-    hess[K:, K:] = Hbb
+    grad = np.concatenate([per_threshold(y, ra) - per_threshold(lo, rb), W.T @ (b - ac)])
+    hess = np.empty((K + W.shape[1],) * 2)
+    diag = per_threshold(y, -ra * (a + s)) + per_threshold(lo, -rb * (bc + s))
+    off = per_threshold(y, ra * rb)[1:]  # (alpha_{j-1}, alpha_j), j = 2..K
+    hess[:K, :K] = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    hess[:K, K:] = cross[:, 1:J].T @ W
+    hess[K:, :K] = hess[:K, K:].T
+    hess[K:, K:] = -(W.T @ ((fa + fb)[:, None] * W))
     return ll, grad, hess
 
 
@@ -281,13 +289,10 @@ def _alpha_from_phi(phi, K):
 
 
 def _phi_jacobian(phi, K):
-    # d(alpha, beta) / d(phi); lower-triangular in the threshold block.
-    q = phi.size - K
-    jac = np.zeros((K + q, K + q))
-    jac[0:K, 0] = 1.0
-    for pos in range(1, K):
-        jac[pos:K, pos] = np.exp(phi[pos])
-    jac[K:, K:] = np.eye(q)
+    # d(alpha, beta) / d(phi): alpha_i = phi_0 + sum_{1 <= j <= i} exp(phi_j),
+    # so the threshold block is lower-triangular.
+    jac = np.eye(phi.size)
+    jac[:K, :K] = np.tril(np.concatenate([[1.0], np.exp(phi[1:K])]))
     return jac
 
 
@@ -300,9 +305,10 @@ def _outcome_parts_phi(phi, K, W, y, J):
     jac = _phi_jacobian(phi, K)
     grad_phi = jac.T @ grad
     hess_phi = jac.T @ hess @ jac
-    # curvature of alpha in the gap parameters: d2 alpha_j / d delta_k^2 = gap_k
-    for pos in range(1, K):
-        hess_phi[pos, pos] += np.exp(phi[pos]) * float(np.sum(grad[pos:K]))
+    # curvature of alpha in the gap parameters: d2 alpha_i / d phi_j^2 =
+    # exp(phi_j) for 1 <= j <= i, weighted by the scores of alpha_j..alpha_K
+    gaps = np.arange(1, K)
+    hess_phi[gaps, gaps] += np.exp(phi[1:K]) * np.cumsum(grad[K - 1:0:-1])[::-1]
     return ll, grad_phi, hess_phi
 
 
@@ -310,69 +316,46 @@ def _outcome_parts_phi(phi, K, W, y, J):
 # Newton engine
 
 def _newton_maximize(fun, theta0, what):
+    """Maximize ``fun`` (returning log-likelihood, score, Hessian) from
+    theta0 by the loop described in the module docstring.  Returns (theta,
+    ll, grad, hess, iterations, evaluations): accepted steps and calls of
+    ``fun``, the starting point included."""
     theta = np.asarray(theta0, dtype=float).copy()
     ll, grad, hess = fun(theta)
+    evaluations = 1
     if not np.isfinite(ll):
         raise ConvergenceError(f"{what}: log-likelihood not finite at the starting values")
 
     iterations = 0
-    flat = False
-    for iterations in range(1, _MAX_ITERATIONS + 1):
-        if float(np.max(np.abs(grad))) <= GRADIENT_TOL:
-            return theta, ll, grad, hess, iterations - 1, True
-
+    gnorm = float(np.max(np.abs(grad)))
+    while gnorm > GRADIENT_TOL:
+        if iterations == _MAX_ITERATIONS:
+            raise ConvergenceError(
+                f"{what}: no convergence after {_MAX_ITERATIONS} iterations "
+                f"(max |gradient| = {gnorm:.3e})"
+            )
         direction = _ascent_direction(grad, hess)
+        band = _LOGLIK_RTOL * (abs(ll) + 1.0)
         step = 1.0
-        accepted = None
         for _ in range(_MAX_HALVINGS + 1):
             cand = theta + step * direction
             cll, cgrad, chess = fun(cand)
-            if np.isfinite(cll) and cll > ll:
-                accepted = (cand, cll, cgrad, chess)
-                break
+            evaluations += 1
+            if np.isfinite(cll) and cll >= ll - band:
+                cnorm = float(np.max(np.abs(cgrad)))
+                if cll > ll + band or cnorm < gnorm:
+                    break
             step *= 0.5
-
-        if accepted is None:
-            flat = True  # the likelihood can no longer visibly improve
+        else:
             break
-        previous_ll = ll
-        theta, ll, grad, hess = accepted
+        theta, ll, grad, hess, gnorm = cand, cll, cgrad, chess, cnorm
+        iterations += 1
         if float(np.max(np.abs(theta))) > _DIVERGENCE_NORM:
             raise SeparationError(
                 f"{what}: parameter norm exceeded {_DIVERGENCE_NORM:g} while the "
                 "log-likelihood is still improving; the data are likely completely separated"
             )
-        if abs(ll - previous_ll) <= _LOGLIK_RTOL * (abs(ll) + 1.0):
-            flat = True
-            break
-
-    # Polish: once the likelihood is flat to double precision, unguarded
-    # Newton steps still contract the gradient quadratically towards its
-    # floor, which the step-halving search cannot do (every candidate looks
-    # like "no improvement").
-    gnorm = float(np.max(np.abs(grad)))
-    if flat:
-        for _ in range(10):
-            if gnorm <= GRADIENT_TOL:
-                break
-            try:
-                direction = np.linalg.solve(-hess, grad)
-            except np.linalg.LinAlgError:
-                break
-            cll, cgrad, chess = fun(theta + direction)
-            if cgrad is None or not np.isfinite(cll) or not np.all(np.isfinite(cgrad)):
-                break
-            cnorm = float(np.max(np.abs(cgrad)))
-            if cnorm >= gnorm:
-                break
-            theta, ll, grad, hess, gnorm = theta + direction, cll, cgrad, chess, cnorm
-
-    if gnorm <= GRADIENT_TOL or flat:
-        return theta, ll, grad, hess, iterations, True
-    raise ConvergenceError(
-        f"{what}: no convergence after {_MAX_ITERATIONS} iterations "
-        f"(max |gradient| = {gnorm:.3e})"
-    )
+    return theta, ll, grad, hess, iterations, evaluations
 
 
 def _ascent_direction(grad, hess):
@@ -386,18 +369,9 @@ def _ascent_direction(grad, hess):
     return grad / (float(np.max(np.abs(np.diag(hess)))) + 1.0)
 
 
-def _standard_errors(information):
-    try:
-        cov = np.linalg.inv(information)
-    except np.linalg.LinAlgError:
-        return np.full(information.shape[0], np.nan)
-    diag = np.diag(cov)
-    if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
-        return np.full(diag.size, np.nan)
-    return np.sqrt(diag)
-
-
 def _delta_method_errors(jac, information_phi):
+    """Standard errors of f(phi) from the observed information in phi, with
+    ``jac`` = d f / d phi; NaN when the information is not positive definite."""
     try:
         cov_phi = np.linalg.inv(information_phi)
     except np.linalg.LinAlgError:

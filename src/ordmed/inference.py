@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effects import EffectQuery, EffectTable, effect_labels, effect_table
-from .estimation import fit_mediator, fit_outcome
+from .estimation import FitResult, fit_mediator, fit_outcome
 from .exceptions import ConvergenceError, DegenerateDataError
 from .models import Dataset
 from .numerics import keyed_stream
@@ -57,7 +57,8 @@ class BootstrapResult:
 
     Arrays are aligned with ``labels`` (the canonical effect order).
     ``estimates`` keeps the successful resample values, one row per resample
-    in resample order, for export or further summaries.
+    in resample order, for export or further summaries.  ``mediator_fit`` and
+    ``outcome_fit`` are the full-data fits that ``point`` is computed from.
     """
 
     point: EffectTable
@@ -69,6 +70,8 @@ class BootstrapResult:
     level: float
     failures: int
     estimates: np.ndarray
+    mediator_fit: FitResult
+    outcome_fit: FitResult
 
     def __post_init__(self):
         for arr in (self.boot_sd, self.ci_lower, self.ci_upper, self.estimates):
@@ -144,4 +147,6 @@ def bootstrap_effects(data: Dataset, query: EffectQuery, B, level=0.95, *, seed)
         level=float(level),
         failures=failures,
         estimates=estimates,
+        mediator_fit=point_mediator,
+        outcome_fit=point_outcome,
     )

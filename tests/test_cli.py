@@ -216,6 +216,34 @@ class TestAnalyzeCommand:
         _, param_rows = read_csv(tmp_path / "report_params.csv")
         assert {(r["model"], r["parameter"]) for r in param_rows} >= {("mediator", "gamma0"), ("outcome", "alpha4")}
 
+    def test_bootstrap_reuses_its_full_data_fits(self, tmp_path, monkeypatch):
+        # with the bootstrap on, the point fits come from bootstrap_effects;
+        # analyze must not fit the full data a second time
+        import ordmed.cli
+
+        data_csv = tmp_path / "data.csv"
+        main(["simulate", *SPARSE_FLAGS, "--seed", "7", "--out", str(data_csv)])
+        argv = ["analyze", "--data", str(data_csv), "--x", "3.5", "--xstar", "2",
+                "--bootstrap", "0", "--format", "json", "--out", str(tmp_path / "plain.json")]
+        assert main(argv) == EXIT_OK
+
+        def refit(data):
+            raise AssertionError("full data fitted twice")
+
+        monkeypatch.setattr(ordmed.cli, "fit_mediator", refit)
+        monkeypatch.setattr(ordmed.cli, "fit_outcome", refit)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--data", str(data_csv), "--x", "3.5", "--xstar", "2",
+                     "--bootstrap", "8", "--seed", "17", "--format", "json",
+                     "--out", str(out)]) == EXIT_OK
+        plain = json.loads((tmp_path / "plain.json").read_text())
+        report = json.loads(out.read_text())
+        for key in ("mediator_fit", "outcome_fit"):
+            assert report[key] == plain[key]
+        assert [e["log_odds_ratio"] for e in report["effects"]] == [
+            e["log_odds_ratio"] for e in plain["effects"]
+        ]
+
     def test_bootstrap_zero_skips_ci_columns(self, tmp_path):
         data_csv = tmp_path / "data.csv"
         main(["simulate", *SPARSE_FLAGS, "--seed", "7", "--out", str(data_csv)])

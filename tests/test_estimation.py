@@ -1,13 +1,18 @@
 """Maximum-likelihood fitting: closed-form checks, independent-optimizer
-oracles, gradient/finite-difference agreement, and failure diagnostics."""
+oracles, gradient/finite-difference agreement, the likelihood kernel against
+a per-category reference and an mpmath oracle, evaluation-count guards, and
+failure diagnostics."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 from ordmed import (
+    ConvergenceError,
     Dataset,
     DegenerateDataError,
     MediatorModel,
@@ -24,8 +29,11 @@ from ordmed import (
     replicate_seed,
     simulate_dataset,
 )
+from ordmed.estimation import _outcome_design, _proportional_odds_parts
+from ordmed.inference import _BOOTSTRAP_DOMAIN
+from ordmed.numerics import expit, keyed_stream
 
-from conftest import J3_MEDIATOR, J3_OUTCOME, random_model_pair
+from conftest import J3_MEDIATOR, J3_OUTCOME, SPARSE_MEDIATOR, SPARSE_OUTCOME, random_model_pair
 
 
 def _dataset(x, m, y, J, c=None):
@@ -132,6 +140,253 @@ class TestGradients:
                     - loglik_mediator(MediatorModel(*(gamma - bump)), data)
                 ) / (2 * step)
             assert np.max(np.abs(gm - fdm)) <= 1e-5 * np.max(np.abs(fdm))
+
+
+def _per_category_parts(alpha, beta, W, y, J):
+    """Reference proportional-odds log-likelihood, score and Hessian: one pass
+    per outcome category, with the derivatives written over pi**2.  It is the
+    kernel's original formulation, kept here as an independent check of the
+    array-valued one."""
+    K = J - 1
+    n, q = W.shape
+    eta = W @ beta
+    Z = alpha[None, :] - eta[:, None]
+
+    ll = 0.0
+    g_alpha = np.zeros(K)
+    g_beta = np.zeros(q)
+    Haa = np.zeros((K, K))
+    Hab = np.zeros((K, q))
+    Hbb = np.zeros((q, q))
+
+    for k in range(1, J + 1):
+        sel = y == k
+        nk = int(np.count_nonzero(sel))
+        if nk == 0:
+            continue
+        Wk = W[sel]
+        zh = Z[sel, k - 1] if k <= K else np.full(nk, np.inf)
+        zl = Z[sel, k - 2] if k >= 2 else np.full(nk, -np.inf)
+        a, ac = expit(zh), expit(-zh)
+        b, bc = expit(zl), expit(-zl)
+        pi = bc * a * (-np.expm1(zl - zh))
+        if np.any(pi <= 0.0):
+            return -np.inf, None, None
+        ll += float(np.sum(np.log(pi)))
+
+        fa = a * ac
+        fb = b * bc
+        fpa = fa * (ac - a)
+        fpb = fb * (bc - b)
+        pi2 = pi * pi
+
+        g_beta += Wk.T @ (-(fa - fb) / pi)
+        Hbb += Wk.T @ ((((fpa - fpb) * pi - (fa - fb) ** 2) / pi2)[:, None] * Wk)
+        if k <= K:
+            g_alpha[k - 1] += float(np.sum(fa / pi))
+            Haa[k - 1, k - 1] += float(np.sum((fpa * pi - fa * fa) / pi2))
+            Hab[k - 1] += Wk.T @ ((-fpa * pi + fa * (fa - fb)) / pi2)
+        if k >= 2:
+            g_alpha[k - 2] -= float(np.sum(fb / pi))
+            Haa[k - 2, k - 2] += float(np.sum((-fpb * pi - fb * fb) / pi2))
+            Hab[k - 2] += Wk.T @ ((fpb * pi - fb * (fa - fb)) / pi2)
+        if 2 <= k <= K:
+            off = float(np.sum(fa * fb / pi2))
+            Haa[k - 1, k - 2] += off
+            Haa[k - 2, k - 1] += off
+
+    grad = np.concatenate([g_alpha, g_beta])
+    hess = np.block([[Haa, Hab], [Hab.T, Hbb]])
+    return ll, grad, hess
+
+
+def _mpmath_parts(alpha, beta, W, y, J, dps=60):
+    """The same derivatives as _per_category_parts, record by record in
+    ``dps``-digit arithmetic, where forming pi**2 loses nothing that matters."""
+    K = J - 1
+    q = W.shape[1]
+    with mpmath.workdps(dps):
+        F = lambda z: 1 / (1 + mpmath.exp(-z))  # noqa: E731
+        H = mpmath.zeros(K + q, K + q)
+        g = mpmath.zeros(K + q, 1)
+        ll = mpmath.mpf(0)
+        for w_row, k in zip(W, y.tolist()):
+            w = [mpmath.mpf(float(v)) for v in w_row]
+            eta = mpmath.fsum(wi * float(bi) for wi, bi in zip(w, beta))
+            zh = float(alpha[k - 1]) - eta if k <= K else mpmath.inf
+            zl = float(alpha[k - 2]) - eta if k >= 2 else -mpmath.inf
+            a, ac = (F(zh), F(-zh)) if k <= K else (mpmath.mpf(1), mpmath.mpf(0))
+            b, bc = (F(zl), F(-zl)) if k >= 2 else (mpmath.mpf(0), mpmath.mpf(1))
+            if k == 1:
+                pi = a
+            elif k == J:
+                pi = bc
+            else:
+                pi = bc * a * -mpmath.expm1(zl - zh)
+            ll += mpmath.log(pi)
+            fa, fb = a * ac, b * bc
+            fpa, fpb = fa * (ac - a), fb * (bc - b)
+            hbb = ((fpa - fpb) * pi - (fa - fb) ** 2) / pi**2
+            for r in range(q):
+                g[K + r] += -w[r] * (fa - fb) / pi
+                for c in range(q):
+                    H[K + r, K + c] += w[r] * w[c] * hbb
+            if k <= K:
+                g[k - 1] += fa / pi
+                H[k - 1, k - 1] += (fpa * pi - fa * fa) / pi**2
+                for c in range(q):
+                    H[k - 1, K + c] += w[c] * (-fpa * pi + fa * (fa - fb)) / pi**2
+                    H[K + c, k - 1] = H[k - 1, K + c]
+            if k >= 2:
+                g[k - 2] -= fb / pi
+                H[k - 2, k - 2] += (-fpb * pi - fb * fb) / pi**2
+                for c in range(q):
+                    H[k - 2, K + c] += w[c] * (fpb * pi - fb * (fa - fb)) / pi**2
+                    H[K + c, k - 2] = H[k - 2, K + c]
+            if 2 <= k <= K:
+                H[k - 1, k - 2] += fa * fb / pi**2
+                H[k - 2, k - 1] = H[k - 1, k - 2]
+        return (
+            float(ll),
+            np.array([float(v) for v in g]),
+            np.array([[float(H[r, c]) for c in range(K + q)] for r in range(K + q)]),
+        )
+
+
+def _kernel_case(rng, J, n, p=0, saturated=False, skip_level=None):
+    """Random kernel inputs: design columns (x, m, x*m, c...), ordered
+    thresholds, slopes, and outcomes over 1..J (optionally never ``skip_level``).
+    With ``saturated`` a third of the records get |eta| between 30 and 45."""
+    x = rng.normal(0.0, 1.5, n)
+    m = rng.integers(0, 2, n).astype(float)
+    W = np.column_stack([x, m, x * m, rng.normal(0.0, 1.0, (n, p))])
+    alpha = np.sort(rng.uniform(-3.0, 3.0, J - 1)) + 0.3 * np.arange(J - 1)
+    beta = rng.uniform(-1.0, 1.0, 3 + p)
+    if saturated:
+        far = rng.random(n) < 1 / 3
+        W[far, 0] = rng.choice([-1.0, 1.0], far.sum()) * rng.uniform(30.0, 45.0, far.sum())
+        W[far, 1:] = 0.0
+        beta[0] = 1.0
+    levels = [k for k in range(1, J + 1) if k != skip_level]
+    y = rng.choice(levels, n).astype(np.int64)
+    return alpha, beta, W, y
+
+
+def _outcome_model(theta, J):
+    K = J - 1
+    return OutcomeModel(tuple(theta[:K]), theta[K], theta[K + 1], theta[K + 2], tuple(theta[K + 3:]))
+
+
+def _assert_parts_close(got, ref, rtol):
+    ll, grad, hess = got
+    ref_ll, ref_grad, ref_hess = ref
+    assert ll == pytest.approx(ref_ll, rel=rtol)
+    assert np.max(np.abs(grad - ref_grad)) <= rtol * np.max(np.abs(ref_grad))
+    assert np.max(np.abs(hess - ref_hess)) <= rtol * np.max(np.abs(ref_hess))
+
+
+class TestKernel:
+    @pytest.mark.parametrize("J, p, saturated, skip_level", [
+        (2, 0, False, None),
+        (3, 0, False, None),
+        (5, 0, False, None),
+        (7, 2, False, None),
+        (5, 0, False, 3),
+        (5, 1, True, None),
+        (2, 0, True, None),
+        (6, 2, True, 4),
+    ])
+    def test_matches_per_category_reference(self, rng, J, p, saturated, skip_level):
+        for _ in range(20):
+            alpha, beta, W, y = _kernel_case(rng, J, int(rng.integers(5, 300)), p, saturated, skip_level)
+            if saturated:
+                assert np.max(np.abs(W @ beta)) > 30.0
+            _assert_parts_close(
+                _proportional_odds_parts(alpha, beta, W, y, J),
+                _per_category_parts(alpha, beta, W, y, J),
+                1e-12,
+            )
+
+    def test_matches_mpmath_at_saturated_predictors(self, rng):
+        # predictors up to |eta| = 60, where the product form of pi keeps the
+        # likelihood exact but derivatives formed over pi**2 lose digits
+        for J in (3, 5):
+            alpha, beta, W, y = _kernel_case(rng, J, 12, p=1)
+            W[:, 0] = rng.choice([-1.0, 1.0], 12) * rng.uniform(20.0, 60.0, 12)
+            beta[0] = 1.0
+            _assert_parts_close(
+                _proportional_odds_parts(alpha, beta, W, y, J),
+                _mpmath_parts(alpha, beta, W, y, J),
+                1e-13,
+            )
+
+    def test_hessian_finite_where_pi_squared_underflows(self):
+        # record 1 has probability ~1e-174: finite log-likelihood, and pi**2
+        # underflows to zero, which once made the Hessian NaN
+        W = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [2.0, 1.0, 2.0], [-1.0, 0.0, 0.0]])
+        y = np.array([1, 2, 3, 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ll, grad, hess = _proportional_odds_parts(
+                np.array([-0.5, 0.5]), np.array([400.0, 0.0, 0.0]), W, y, 3
+            )
+        assert np.isfinite(ll)
+        assert np.all(np.isfinite(grad))
+        assert np.all(np.isfinite(hess))
+
+    def test_hessian_matches_central_differences_of_gradient(self, rng):
+        step = 1e-6
+        for J, p in ((2, 0), (3, 0), (5, 1)):
+            design = SimulationDesign(
+                n=80, mean_x=0.0, sd_x=1.0,
+                mediator=MediatorModel(-0.5, 0.5, (0.3,) * p),
+                outcome=OutcomeModel(tuple(np.linspace(-1.5, 1.5, J - 1)), 0.5, 0.3, 0.2, (0.4,) * p),
+                seed=17 + J, cov_means=(0.0,) * p, cov_sds=(1.0,) * p,
+            )
+            data = simulate_dataset(design)
+            W = _outcome_design(data)
+            for _ in range(10):
+                _, out = random_model_pair(rng, J=J, p=p)
+                theta = np.array([*out.alpha, out.betaX, out.betaM, out.betaXM, *out.betaC])
+                _, _, hess = _proportional_odds_parts(
+                    theta[:J - 1], theta[J - 1:], W, data.y, J
+                )
+                fd = np.empty_like(hess)
+                for i in range(theta.size):
+                    bump = np.zeros(theta.size)
+                    bump[i] = step
+                    fd[:, i] = (
+                        outcome_loglik_gradient(_outcome_model(theta + bump, J), data)
+                        - outcome_loglik_gradient(_outcome_model(theta - bump, J), data)
+                    ) / (2 * step)
+                assert np.max(np.abs(hess - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+class TestEvaluationCounts:
+    def test_sparse_bootstrap_fits_take_few_evaluations(self):
+        # the sparse J=5 design of acceptance criterion 7(c), resampled with
+        # the bootstrap's own streams: likelihood evaluations per fit guard
+        # the Newton loop's cost without timing anything
+        data = simulate_dataset(SimulationDesign(
+            n=300, mean_x=3.0, sd_x=1.3, mediator=SPARSE_MEDIATOR,
+            outcome=SPARSE_OUTCOME, seed=4242,
+        ))
+        assert fit_outcome(data).evaluations <= 10
+        outcome, mediator = [], []
+        for b in range(200):
+            idx = keyed_stream(99, _BOOTSTRAP_DOMAIN, b).integers(0, data.n, size=data.n)
+            sample = data.subset(idx)
+            try:
+                fit_m = fit_mediator(sample)
+                fit_o = fit_outcome(sample)
+            except (DegenerateDataError, ConvergenceError):
+                continue
+            mediator.append(fit_m.evaluations)
+            outcome.append(fit_o.evaluations)
+        assert len(outcome) >= 190
+        assert np.mean(outcome) <= 9
+        assert max(outcome) <= 30
+        assert np.mean(mediator) <= 8
 
 
 class TestFitMediator:

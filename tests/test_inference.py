@@ -120,6 +120,8 @@ class TestBootstrapEffects:
     def test_point_estimate_comes_from_full_data(self):
         data = _study_dataset(80, seed=15)
         result = bootstrap_effects(data, QUERY, 8, seed=5)
+        assert result.mediator_fit == fit_mediator(data)
+        assert result.outcome_fit == fit_outcome(data)
         direct = effect_table(QUERY, fit_mediator(data).model, fit_outcome(data).model)
         assert result.point.log_tce == direct.log_tce
         assert result.point.log_nde == direct.log_nde
