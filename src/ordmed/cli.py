@@ -30,7 +30,7 @@ from pathlib import Path
 from . import __version__
 from .effects import EffectQuery, EffectTable, effect_labels, effect_table
 from .estimation import FitResult, fit_mediator, fit_outcome, parameter_labels
-from .exceptions import ConvergenceError, MediationError, SeparationError
+from .exceptions import ConvergenceError, MediationError
 from .inference import bootstrap_effects
 from .models import MediatorModel, OutcomeModel, validate_dataset
 from .simulation import RNG_INFO, SimulationDesign, monte_carlo_study, simulate_dataset
@@ -63,16 +63,10 @@ def main(argv=None):
         if getattr(args, "handler", None) is None:
             raise CliError("a subcommand is required (effects, fit, analyze, simulate, mc-study)")
         return args.handler(args, argv)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except SeparationError as exc:
+    except ConvergenceError as exc:  # SeparationError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except (MediationError, ValueError, OSError) as exc:
+    except (CliError, MediationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
@@ -263,24 +257,37 @@ def _metadata(argv, seed=None, randomized=False, extra=()):
     return items
 
 
-def _fmt(value):
-    v = float(value)
-    return "" if math.isnan(v) else format(v, ".17g")
+def _cell(value):
+    """One CSV cell: None (null in JSON) is empty, a float keeps 17
+    significant digits, anything else is its str."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
 
 
-def _write_csv(path, metadata, header, rows):
+def _write_csv(path, metadata, records):
+    """The metadata block, then one row per record; the keys of the records
+    are the header."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for key, value in metadata:
             fh.write(f"# {key}: {value}\n")
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(records[0])
+        writer.writerows([_cell(v) for v in record.values()] for record in records)
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+def _write_report(args, metadata, payload, tables):
+    """The JSON document ``payload``, or under --format csv every
+    ``(path, records)`` table of ``tables``, whose records come from it."""
+    if args.format == "json":
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, allow_nan=False)
+            fh.write("\n")
+    else:
+        for path, records in tables:
+            _write_csv(path, metadata, records)
 
 
 def _none_if_nan(value):
@@ -310,16 +317,17 @@ def _fit_payload(result: FitResult):
         "loglik": result.loglik,
         "iterations": result.iterations,
         "gradient_norm": result.gradient_norm,
-        "converged": result.converged,
+        "converged": True,  # a fit that does not converge raises instead
     }
 
 
-def _fit_rows(result: FitResult, which):
-    payload = _fit_payload(result)
+def _parameter_records(payload):
+    """One record per parameter of the two fits in ``payload``."""
     return [
-        (which, name, _fmt(payload["parameters"][name]),
-         _fmt(payload["standard_errors"][name] if payload["standard_errors"][name] is not None else float("nan")))
-        for name in payload["parameters"]
+        {"model": model, "parameter": name, "estimate": value,
+         "std_error": payload[f"{model}_fit"]["standard_errors"][name]}
+        for model in ("mediator", "outcome")
+        for name, value in payload[f"{model}_fit"]["parameters"].items()
     ]
 
 
@@ -332,14 +340,8 @@ def cmd_effects(args, argv):
     query = _query_from_args(args)
     table = effect_table(query, mediator, outcome)
     metadata = _metadata(argv, extra=[("x", repr(args.x)), ("xstar", repr(args.xstar))])
-    if args.format == "json":
-        _write_json(args.out, {"metadata": dict(metadata), "effects": _effect_entries(table)})
-    else:
-        rows = [
-            (e["effect"], e["level"], _fmt(e["log_odds_ratio"]), _fmt(e["odds_ratio"]))
-            for e in _effect_entries(table)
-        ]
-        _write_csv(args.out, metadata, ("effect", "level", "log_odds_ratio", "odds_ratio"), rows)
+    payload = {"metadata": dict(metadata), "effects": _effect_entries(table)}
+    _write_report(args, metadata, payload, [(args.out, payload["effects"])])
     return EXIT_OK
 
 
@@ -349,18 +351,15 @@ def cmd_fit(args, argv):
     out_fit = fit_outcome(data)
     metadata = _metadata(argv, extra=[
         ("n", str(data.n)), ("levels", str(data.J)), ("covariates", str(data.p)),
-        ("loglik-mediator", _fmt(med_fit.loglik)), ("loglik-outcome", _fmt(out_fit.loglik)),
-        ("converged", str(med_fit.converged and out_fit.converged).lower()),
+        ("loglik-mediator", _cell(med_fit.loglik)), ("loglik-outcome", _cell(out_fit.loglik)),
+        ("converged", "true"),  # a fit that does not converge raises instead
     ])
-    if args.format == "json":
-        _write_json(args.out, {
-            "metadata": dict(metadata),
-            "mediator_fit": _fit_payload(med_fit),
-            "outcome_fit": _fit_payload(out_fit),
-        })
-    else:
-        rows = _fit_rows(med_fit, "mediator") + _fit_rows(out_fit, "outcome")
-        _write_csv(args.out, metadata, ("model", "parameter", "estimate", "std_error"), rows)
+    payload = {
+        "metadata": dict(metadata),
+        "mediator_fit": _fit_payload(med_fit),
+        "outcome_fit": _fit_payload(out_fit),
+    }
+    _write_report(args, metadata, payload, [(args.out, _parameter_records(payload))])
     return EXIT_OK
 
 
@@ -400,39 +399,21 @@ def cmd_analyze(args, argv):
         ]
     metadata = _metadata(argv, seed=args.seed, randomized=boot is not None, extra=extra)
 
-    if args.format == "json":
-        payload = {
-            "metadata": dict(metadata),
-            "mediator_fit": _fit_payload(med_fit),
-            "outcome_fit": _fit_payload(out_fit),
-            "effects": entries,
+    payload = {
+        "metadata": dict(metadata),
+        "mediator_fit": _fit_payload(med_fit),
+        "outcome_fit": _fit_payload(out_fit),
+        "effects": entries,
+    }
+    if boot is not None:
+        payload["bootstrap"] = {
+            "B": boot.B, "level": boot.level, "failures": boot.failures,
+            "unreliable": boot.unreliable,
         }
-        if boot is not None:
-            payload["bootstrap"] = {
-                "B": boot.B, "level": boot.level, "failures": boot.failures,
-                "unreliable": boot.unreliable,
-            }
-        _write_json(args.out, payload)
-    else:
-        if boot is None:
-            header = ("effect", "level", "log_odds_ratio", "odds_ratio")
-            rows = [(e["effect"], e["level"], _fmt(e["log_odds_ratio"]), _fmt(e["odds_ratio"]))
-                    for e in entries]
-        else:
-            header = ("effect", "level", "log_odds_ratio", "odds_ratio", "boot_sd",
-                      "ci_lower", "ci_upper", "or_ci_lower", "or_ci_upper")
-            rows = [
-                (e["effect"], e["level"], _fmt(e["log_odds_ratio"]), _fmt(e["odds_ratio"]),
-                 _fmt(e["boot_sd"] if e["boot_sd"] is not None else float("nan")),
-                 _fmt(e["ci_lower"]), _fmt(e["ci_upper"]),
-                 _fmt(e["or_ci_lower"]), _fmt(e["or_ci_upper"]))
-                for e in entries
-            ]
-        _write_csv(args.out, metadata, header, rows)
-        params_path = _sibling_path(args.out, "_params.csv")
-        _write_csv(params_path, metadata, ("model", "parameter", "estimate", "std_error"),
-                   _fit_rows(med_fit, "mediator") + _fit_rows(out_fit, "outcome"))
-
+    _write_report(args, metadata, payload, [
+        (args.out, entries),
+        (_sibling_path(args.out, "_params.csv"), _parameter_records(payload)),
+    ])
     return EXIT_UNRELIABLE if boot is not None and boot.unreliable else EXIT_OK
 
 
@@ -442,11 +423,8 @@ def cmd_simulate(args, argv):
     metadata = _metadata(argv, seed=design.seed, randomized=True,
                          extra=[("n", str(data.n)), ("levels", str(data.J)), ("covariates", str(data.p))])
     header = ["x", "m", "y"] + [f"c{i}" for i in range(1, data.p + 1)]
-    rows = [
-        (_fmt(xi), str(int(mi)), str(int(yi)), *(_fmt(v) for v in ci))
-        for xi, mi, yi, ci in zip(data.x, data.m, data.y, data.covariates)
-    ]
-    _write_csv(args.out, metadata, header, rows)
+    rows = zip(*(column.tolist() for column in (data.x, data.m, data.y, *data.covariates.T)))
+    _write_csv(args.out, metadata, [dict(zip(header, row)) for row in rows])
     return EXIT_OK
 
 
@@ -462,34 +440,27 @@ def cmd_mc_study(args, argv):
         ("failures", str(summary.n_failures)),
         ("levels", str(design.outcome.J)),
     ])
-    if args.format == "json":
-        _write_json(args.out, {
-            "metadata": dict(metadata),
-            "summary": [
-                {"effect": eff, "level": lvl, "mean_log": float(summary.mean[k]),
-                 "sd_log": _none_if_nan(summary.sd[k]),
-                 "n_used": int(summary.estimates.shape[0])}
-                for k, (eff, lvl) in enumerate(summary.labels)
-            ],
-            "estimates": [
-                {"replicate": rid, "values": [float(v) for v in row]}
-                for rid, row in zip(summary.replicate_ids, summary.estimates)
-            ],
-            "failed_replicates": list(summary.failed_replicates),
-        })
-    else:
-        rows = [
-            (eff, lvl, _fmt(summary.mean[k]), _fmt(summary.sd[k]), str(summary.estimates.shape[0]))
+    payload = {
+        "metadata": dict(metadata),
+        "summary": [
+            {"effect": eff, "level": lvl, "mean_log": float(summary.mean[k]),
+             "sd_log": _none_if_nan(summary.sd[k]),
+             "n_used": int(summary.estimates.shape[0])}
             for k, (eff, lvl) in enumerate(summary.labels)
-        ]
-        _write_csv(args.out, metadata, ("effect", "level", "mean_log", "sd_log", "n_used"), rows)
-        raw_path = args.raw_out if args.raw_out else _sibling_path(args.out, "_raw.csv")
-        raw_rows = [
-            (str(rid), eff, lvl, _fmt(row[k]))
+        ],
+        "estimates": [
+            {"replicate": rid, "values": [float(v) for v in row]}
             for rid, row in zip(summary.replicate_ids, summary.estimates)
-            for k, (eff, lvl) in enumerate(summary.labels)
-        ]
-        _write_csv(raw_path, metadata, ("replicate", "effect", "level", "log_estimate"), raw_rows)
+        ],
+        "failed_replicates": list(summary.failed_replicates),
+    }
+    raw = [
+        {"replicate": e["replicate"], "effect": eff, "level": lvl, "log_estimate": value}
+        for e in payload["estimates"]
+        for (eff, lvl), value in zip(summary.labels, e["values"])
+    ]
+    raw_path = args.raw_out if args.raw_out else _sibling_path(args.out, "_raw.csv")
+    _write_report(args, metadata, payload, [(args.out, payload["summary"]), (raw_path, raw)])
     return EXIT_OK
 
 

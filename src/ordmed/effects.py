@@ -28,7 +28,9 @@ from .models import (
     MediatorModel,
     OutcomeModel,
     _check_level,
+    _check_mediator_value,
     _covariate_vector,
+    _mediator_eta,
     category_probabilities,
     cumulative_probability,
     mediator_probability,
@@ -104,27 +106,50 @@ def _check_pair(mediator: MediatorModel, outcome: OutcomeModel, c):
     return _covariate_vector(c, outcome.p, "effect evaluation")
 
 
-def g_cross(d, j, x, xstar, c, mediator: MediatorModel, outcome: OutcomeModel):
-    """Log odds of M=1 given the event I(Y<=j)=d, mixing the outcome part at
-    exposure ``x`` with the mediator part at exposure ``xstar``:
+def _mixture_terms(x, xstar, c, mediator: MediatorModel, outcome: OutcomeModel):
+    """Every per-level term of the closed forms at the exposure pair
+    (x, xstar) and the validated covariate vector ``c``, as arrays over
+    j = 1..J-1, keyed ``g0``, ``g1``, ``log_rr`` and ``logit``.
+
+    g_d_j is the log odds of M=1 given the event I(Y<=j)=d, mixing the
+    outcome part at exposure ``x`` with the mediator part at ``xstar``:
 
         g_d_j(x, xstar; c) = -d*(betaM + betaXM*x)
                              + log[(1+exp(a_j - betaX*x - betaC.c))
                                    / (1+exp(a_j - betaX*x - betaM - betaXM*x - betaC.c))]
                              + gamma0 + gammaX*xstar + gammaC.c
 
-    ``g_cross(d, j, x, x, c)`` collapses to the one-exposure form exactly
-    (same arithmetic path).
+    log_rr_j = log[(1+exp g_0_j) / (1+exp g_1_j)] is the log relative risk of
+    M=0 across I(Y<=j), and logit_j = a_j - betaX*x - betaC.c - log_rr_j is
+    logit P(Y(x, M(xstar)) <= j | c).  At xstar = x every term is the
+    one-exposure form, by the same arithmetic.
     """
-    if d not in (0, 1):
-        raise ValueError(f"d must be 0 or 1, got {d!r}")
-    c = _check_pair(mediator, outcome, c)
-    j = _check_level(j, outcome.J)
     x = float(x)
-    base = outcome.alpha[j - 1] - outcome.betaX * x - float(c @ np.asarray(outcome.betaC, dtype=float))
+    base = np.asarray(outcome.alpha) - outcome.betaX * x - float(c @ np.asarray(outcome.betaC, dtype=float))
     shift = outcome.betaM + outcome.betaXM * x
     log_ratio = log1pexp(base) - log1pexp(base - shift)
-    return -d * shift + log_ratio + mediator.linear_predictor(xstar, c)
+    mediator_eta = _mediator_eta(mediator, float(xstar), c)
+    g0 = log_ratio + mediator_eta
+    g1 = -shift + log_ratio + mediator_eta
+    log_rr = log1pexp(g0) - log1pexp(g1)
+    return {"g0": g0, "g1": g1, "log_rr": log_rr, "logit": base - log_rr}
+
+
+def _term_at(key, j, x, xstar, c, mediator, outcome):
+    # validated lookup of one _mixture_terms entry at level j
+    c = _check_pair(mediator, outcome, c)
+    j = _check_level(j, outcome.J)
+    return float(_mixture_terms(x, xstar, c, mediator, outcome)[key][j - 1])
+
+
+def g_cross(d, j, x, xstar, c, mediator: MediatorModel, outcome: OutcomeModel):
+    """Log odds of M=1 given the event I(Y<=j)=d, mixing the outcome part at
+    exposure ``x`` with the mediator part at exposure ``xstar`` (formula in
+    :func:`_mixture_terms`).  ``g_cross(d, j, x, x, c)`` is the one-exposure
+    form exactly (same arithmetic path)."""
+    if d not in (0, 1):
+        raise ValueError(f"d must be 0 or 1, got {d!r}")
+    return _term_at(f"g{d}", j, x, xstar, c, mediator, outcome)
 
 
 def g_observed(d, j, x, c, mediator: MediatorModel, outcome: OutcomeModel):
@@ -137,9 +162,7 @@ def log_rr_correction(j, x, c, mediator: MediatorModel, outcome: OutcomeModel):
     """log of the relative risk of M=0 across I(Y<=j) levels,
     log[(1+exp g_0) / (1+exp g_1)]: the term separating the conditional from
     the marginal cumulative logit.  Zero when betaM + betaXM*x = 0."""
-    g0 = g_observed(0, j, x, c, mediator, outcome)
-    g1 = g_observed(1, j, x, c, mediator, outcome)
-    return log1pexp(g0) - log1pexp(g1)
+    return _term_at("log_rr", j, x, x, c, mediator, outcome)
 
 
 def counterfactual_cumulative_logit(j, x, xstar, c, mediator: MediatorModel, outcome: OutcomeModel):
@@ -147,16 +170,7 @@ def counterfactual_cumulative_logit(j, x, xstar, c, mediator: MediatorModel, out
     itself a cumulative logit, with the mediator held at its natural law
     under exposure ``xstar``.  With xstar = x this is the ordinary marginal
     cumulative logit of Y on X."""
-    c_arr = _check_pair(mediator, outcome, c)
-    j = _check_level(j, outcome.J)
-    g0 = g_cross(0, j, x, xstar, c, mediator, outcome)
-    g1 = g_cross(1, j, x, xstar, c, mediator, outcome)
-    return (
-        outcome.alpha[j - 1]
-        - outcome.betaX * float(x)
-        - float(c_arr @ np.asarray(outcome.betaC, dtype=float))
-        - (log1pexp(g0) - log1pexp(g1))
-    )
+    return _term_at("logit", j, x, xstar, c, mediator, outcome)
 
 
 def marginal_cumulative_logit(j, x, c, mediator: MediatorModel, outcome: OutcomeModel):
@@ -189,43 +203,26 @@ def plug_in_oracle(j, x, xstar, c, mediator: MediatorModel, outcome: OutcomeMode
     return math.log(num) - math.log(den)
 
 
-def _log_one_plus_exp_ratio(j, x, xstar, c, mediator, outcome):
-    # log[(1+exp g_1)/(1+exp g_0)] at (x, xstar); the recurring block in
-    # every effect formula.
-    g1 = g_cross(1, j, x, xstar, c, mediator, outcome)
-    g0 = g_cross(0, j, x, xstar, c, mediator, outcome)
-    return log1pexp(g1) - log1pexp(g0)
-
-
 def log_tce(j, query: EffectQuery, mediator: MediatorModel, outcome: OutcomeModel):
     """log total causal effect at level j: the marginal log-odds contrast of
     Y > j between exposures x and xstar."""
-    x, xs, c = query.x, query.xstar, query.c
-    return (
-        outcome.betaX * (x - xs)
-        - _log_one_plus_exp_ratio(j, x, x, c, mediator, outcome)
-        + _log_one_plus_exp_ratio(j, xs, xs, c, mediator, outcome)
-    )
+    j = _check_level(j, outcome.J)
+    return effect_table(query, mediator, outcome).log_tce[j - 1]
 
 
 def log_cde(m, query: EffectQuery, outcome: OutcomeModel):
     """log controlled direct effect with the mediator held at m:
     (betaX + betaXM*m)(x - xstar).  Constant in j under proportional odds,
     hence no per-level variant."""
-    if m not in (0, 1):
-        raise ValueError(f"m must be 0 or 1, got {m!r}")
+    m = _check_mediator_value(m)
     return (outcome.betaX + outcome.betaXM * m) * (query.x - query.xstar)
 
 
 def log_nde(j, query: EffectQuery, mediator: MediatorModel, outcome: OutcomeModel):
     """log natural direct effect at level j: exposure moves xstar -> x while
     the mediator keeps its natural law under xstar."""
-    x, xs, c = query.x, query.xstar, query.c
-    return (
-        outcome.betaX * (x - xs)
-        - _log_one_plus_exp_ratio(j, x, xs, c, mediator, outcome)
-        + _log_one_plus_exp_ratio(j, xs, xs, c, mediator, outcome)
-    )
+    j = _check_level(j, outcome.J)
+    return effect_table(query, mediator, outcome).log_nde[j - 1]
 
 
 def log_nie(j, query: EffectQuery, mediator: MediatorModel, outcome: OutcomeModel):
@@ -233,26 +230,30 @@ def log_nie(j, query: EffectQuery, mediator: MediatorModel, outcome: OutcomeMode
     mediator law moves from xstar to x.  Zero whenever the exposure does not
     move the mediator (gammaX = 0) or the mediator does not move the outcome
     (betaM = betaXM = 0)."""
-    x, xs, c = query.x, query.xstar, query.c
-    return (
-        -_log_one_plus_exp_ratio(j, x, x, c, mediator, outcome)
-        + _log_one_plus_exp_ratio(j, x, xs, c, mediator, outcome)
-    )
+    j = _check_level(j, outcome.J)
+    return effect_table(query, mediator, outcome).log_nie[j - 1]
 
 
 def effect_table(query: EffectQuery, mediator: MediatorModel, outcome: OutcomeModel):
     """All per-level effects plus both controlled direct effects, with the
     multiplicative decomposition TCE = NDE * NIE verified on the log scale
-    before returning."""
-    _check_pair(mediator, outcome, query.c)
-    levels = range(1, outcome.J)
-    nde = tuple(log_nde(j, query, mediator, outcome) for j in levels)
-    nie = tuple(log_nie(j, query, mediator, outcome) for j in levels)
-    tce = tuple(log_tce(j, query, mediator, outcome) for j in levels)
-    for j, (t, d, i) in enumerate(zip(tce, nde, nie), start=1):
-        if abs(t - (d + i)) > _DECOMPOSITION_TOL:
-            raise ConsistencyError(
-                f"log TCE != log NDE + log NIE at level {j}: {t!r} vs {d + i!r}"
-            )
+    before returning.  Every per-level effect is a difference of the log RR
+    corrections at the exposure pairs (x, x), (x, xstar) and (xstar, xstar)."""
+    c = _check_pair(mediator, outcome, query.c)
+    x, xs = query.x, query.xstar
+    rr_xx = _mixture_terms(x, x, c, mediator, outcome)["log_rr"]
+    rr_xs = _mixture_terms(x, xs, c, mediator, outcome)["log_rr"]
+    rr_ss = _mixture_terms(xs, xs, c, mediator, outcome)["log_rr"]
+    direct = outcome.betaX * (x - xs)
+    tce = direct + rr_xx - rr_ss
+    nde = direct + rr_xs - rr_ss
+    nie = rr_xx - rr_xs
+    broken = np.flatnonzero(np.abs(tce - (nde + nie)) > _DECOMPOSITION_TOL)
+    if broken.size:
+        k = broken[0]
+        raise ConsistencyError(
+            f"log TCE != log NDE + log NIE at level {k + 1}: "
+            f"{float(tce[k])!r} vs {float(nde[k] + nie[k])!r}"
+        )
     cde = (log_cde(1, query, outcome), log_cde(0, query, outcome))
-    return EffectTable(tce, nde, nie, cde, query)
+    return EffectTable(tuple(tce.tolist()), tuple(nde.tolist()), tuple(nie.tolist()), cde, query)

@@ -30,8 +30,8 @@ from .models import (
     Dataset,
     MediatorModel,
     OutcomeModel,
-    _category_matrix,
-    _mediator_eta_vec,
+    _category_probs,
+    _mediator_eta,
 )
 from .numerics import expit, log1pexp
 
@@ -52,7 +52,8 @@ class FitResult:
     regression.  Entries are NaN when the observed information is not
     positive definite.  ``iterations`` counts accepted Newton steps and
     ``evaluations`` counts evaluations of the log-likelihood with its score
-    and Hessian, the starting point included.
+    and Hessian, the starting point included.  A fit that does not converge
+    raises instead of returning, so every FitResult is a converged fit.
     """
 
     model: MediatorModel | OutcomeModel
@@ -60,7 +61,6 @@ class FitResult:
     gradient_norm: float
     iterations: int
     standard_errors: tuple[float, ...]
-    converged: bool
     evaluations: int
 
 
@@ -83,7 +83,7 @@ def _check_dims(model, data: Dataset):
 def loglik_mediator(model: MediatorModel, data: Dataset):
     """Bernoulli log-likelihood of the mediator regression."""
     _check_dims(model, data)
-    eta = _mediator_eta_vec(model, data.x, data.covariates)
+    eta = _mediator_eta(model, data.x, data.covariates)
     return float(np.sum(data.m * eta - log1pexp(eta)))
 
 
@@ -96,7 +96,7 @@ def loglik_outcome(model: OutcomeModel, data: Dataset):
     _check_dims(model, data)
     if model.J != data.J:
         raise DimensionError(f"model has J={model.J} levels but dataset declares J={data.J}")
-    probs = _category_matrix(model, data.x, data.m, data.covariates)
+    probs = _category_probs(model, data.x, data.m, data.covariates)
     picked = probs[np.arange(data.n), data.y - 1]
     with np.errstate(divide="ignore"):
         return float(np.sum(np.log(picked)))
@@ -141,7 +141,7 @@ def fit_mediator(data: Dataset) -> FitResult:
     )
     se = _delta_method_errors(np.eye(theta.size), -hess)
     model = MediatorModel(theta[0], theta[1], tuple(theta[2:]))
-    return FitResult(model, ll, float(np.max(np.abs(grad))), iters, tuple(se), True, evals)
+    return FitResult(model, ll, float(np.max(np.abs(grad))), iters, tuple(se), evals)
 
 
 def fit_outcome(data: Dataset) -> FitResult:
@@ -185,7 +185,7 @@ def fit_outcome(data: Dataset) -> FitResult:
             "the data cannot separate adjacent outcome levels"
         )
     model = OutcomeModel(tuple(alpha), beta[0], beta[1], beta[2], tuple(beta[3:]))
-    return FitResult(model, ll, float(np.max(np.abs(grad_phi))), iters, tuple(se), True, evals)
+    return FitResult(model, ll, float(np.max(np.abs(grad_phi))), iters, tuple(se), evals)
 
 
 # ----------------------------------------------------------------------

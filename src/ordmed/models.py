@@ -10,7 +10,6 @@ indicates a bug rather than a silently repaired model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -76,7 +75,7 @@ class MediatorModel:
 
     def linear_predictor(self, x, c=()):
         c = _covariate_vector(c, self.p, "mediator model")
-        return self.gamma0 + self.gammaX * float(x) + float(c @ np.asarray(self.gammaC, dtype=float))
+        return float(_mediator_eta(self, float(x), c))
 
 
 @dataclass(frozen=True)
@@ -115,49 +114,15 @@ class OutcomeModel:
         return len(self.betaC)
 
     def linear_predictor(self, x, m, c=()):
-        m = _check_mediator_value(m)
-        c = _covariate_vector(c, self.p, "outcome model")
-        x = float(x)
-        return (
-            self.betaX * x
-            + self.betaM * m
-            + self.betaXM * x * m
-            + float(c @ np.asarray(self.betaC, dtype=float))
-        )
-
-
-@dataclass(frozen=True)
-class ObservationRecord:
-    """One observed (exposure, mediator, outcome, covariates) row."""
-
-    x: float
-    m: int
-    y: int
-    c: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        x = float(self.x)
-        if not np.isfinite(x):
-            raise ValueError(f"x must be finite, got {self.x!r}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "m", _check_mediator_value(self.m))
-        y = int(self.y)
-        if y != self.y or y < 1:
-            raise ValueError(f"y must be a positive integer level, got {self.y!r}")
-        object.__setattr__(self, "y", y)
-        c = tuple(float(v) for v in self.c)
-        if c and not np.all(np.isfinite(c)):
-            raise ValueError(f"covariates must be finite, got {self.c!r}")
-        object.__setattr__(self, "c", c)
+        return float(_outcome_eta(self, *_outcome_query(self, x, m, c)))
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Validated sample with J outcome levels and p covariates.
 
-    Column arrays are the primary storage (and are frozen read-only);
-    ``records`` materialises row objects on demand.  Construct through
-    :func:`validate_dataset` unless the arrays are already known-valid.
+    Column arrays are the storage (and are frozen read-only).  Construct
+    through :func:`validate_dataset` unless the arrays are already known-valid.
     """
 
     x: np.ndarray
@@ -182,13 +147,6 @@ class Dataset:
     def n(self):
         return self.x.shape[0]
 
-    @cached_property
-    def records(self):
-        return tuple(
-            ObservationRecord(float(xi), int(mi), int(yi), tuple(ci))
-            for xi, mi, yi, ci in zip(self.x, self.m, self.y, self.covariates)
-        )
-
     def subset(self, indices):
         """New Dataset holding rows ``indices`` (repeats allowed, as in a
         bootstrap resample)."""
@@ -204,16 +162,17 @@ def mediator_probability(model: MediatorModel, x, c=()):
 def cumulative_probability(model: OutcomeModel, j, x, m, c=()):
     """P(Y<=j | x, m, c) under the proportional-odds model, 1 <= j <= J-1."""
     j = _check_level(j, model.J)
-    return expit(model.alpha[j - 1] - model.linear_predictor(x, m, c))
+    return float(_cumulative_probs(model, *_outcome_query(model, x, m, c))[j - 1])
 
 
 def category_probabilities(model: OutcomeModel, x, m, c=()):
-    """Length-J vector of P(Y=j | x, m, c): differences of the cumulative
-    probabilities, evaluated in a product form that stays exact when both
-    cumulative values saturate, so the entries are nonnegative and sum to one
-    even for extreme predictors."""
-    eta = model.linear_predictor(x, m, c)
-    return _category_probs_from_thresholds(np.asarray(model.alpha, dtype=float) - eta)
+    """Length-J vector of P(Y=j | x, m, c); see :func:`_category_probs`."""
+    return _category_probs(model, *_outcome_query(model, x, m, c))
+
+
+def _outcome_query(model: OutcomeModel, x, m, c):
+    # one validated (x, m, c) point of the outcome model
+    return float(x), _check_mediator_value(m), _covariate_vector(c, model.p, "outcome model")
 
 
 def validate_dataset(records, J, p=0):
@@ -287,36 +246,46 @@ def validate_dataset(records, J, p=0):
     return Dataset(xs, ms, ys, cs, J, p)
 
 
-# Vectorised twins of the scalar probability calls, shared by the fitting and
-# simulation code.  Same formulas, array arguments.
+# The one implementation of each predictor and probability.  Arguments are
+# either arrays of n exposures, mediator values and an (n, p) covariate
+# matrix, or one exposure, one mediator value and a length-p covariate
+# vector; probabilities gain a trailing axis over the thresholds or levels.
 
-def _mediator_eta_vec(model: MediatorModel, x, C):
+def _mediator_eta(model: MediatorModel, x, C):
     eta = model.gamma0 + model.gammaX * x
     if model.p:
         eta = eta + C @ np.asarray(model.gammaC, dtype=float)
     return eta
 
 
-def _outcome_eta_vec(model: OutcomeModel, x, m, C):
+def _outcome_eta(model: OutcomeModel, x, m, C):
     eta = model.betaX * x + model.betaM * m + model.betaXM * x * m
     if model.p:
         eta = eta + C @ np.asarray(model.betaC, dtype=float)
     return eta
 
 
-def _cumulative_matrix(model: OutcomeModel, x, m, C):
-    eta = _outcome_eta_vec(model, x, m, C)
-    return expit(np.asarray(model.alpha, dtype=float)[None, :] - eta[:, None])
+def _threshold_logits(model: OutcomeModel, x, m, C):
+    # z[..., j] = alpha_j - eta
+    eta = _outcome_eta(model, x, m, C)
+    return np.asarray(model.alpha, dtype=float) - np.expand_dims(eta, -1)
 
 
-def _category_probs_from_thresholds(z):
-    """Category probabilities from threshold logits z[..., j] = alpha_j - eta.
+def _cumulative_probs(model: OutcomeModel, x, m, C):
+    return expit(_threshold_logits(model, x, m, C))
+
+
+def _category_probs(model: OutcomeModel, x, m, C):
+    """P(Y=j | x, m, c) for j = 1..J: differences of the cumulative
+    probabilities, evaluated in a product form that stays exact when both
+    cumulative values saturate, so the entries are nonnegative and sum to one
+    even for extreme predictors.
 
     F(hi) - F(lo) is rewritten as F(-lo) * F(hi) * (-expm1(lo - hi)), which
     avoids the 1 - 1 cancellation when both cumulative probabilities saturate;
     the boundary categories use lo = -inf and hi = +inf.
     """
-    z = np.asarray(z, dtype=float)
+    z = _threshold_logits(model, x, m, C)
     shape = z.shape[:-1]
     ext = np.concatenate(
         [np.full(shape + (1,), -np.inf), z, np.full(shape + (1,), np.inf)], axis=-1
@@ -324,10 +293,3 @@ def _category_probs_from_thresholds(z):
     lo = ext[..., :-1]
     hi = ext[..., 1:]
     return expit(-lo) * expit(hi) * (-np.expm1(lo - hi))
-
-
-def _category_matrix(model: OutcomeModel, x, m, C):
-    eta = _outcome_eta_vec(model, x, m, C)
-    return _category_probs_from_thresholds(
-        np.asarray(model.alpha, dtype=float)[None, :] - eta[:, None]
-    )

@@ -19,7 +19,7 @@ import numpy as np
 from .effects import EffectQuery, effect_labels, effect_table
 from .estimation import fit_mediator, fit_outcome
 from .exceptions import ConvergenceError, DegenerateDataError, DimensionError, ModelSpecError
-from .models import Dataset, MediatorModel, OutcomeModel, _cumulative_matrix, _mediator_eta_vec
+from .models import Dataset, MediatorModel, OutcomeModel, _cumulative_probs, _mediator_eta
 from .numerics import expit, inverse_normal_cdf, keyed_stream
 
 _SIM_DOMAIN = 0
@@ -108,11 +108,11 @@ def simulate_dataset(design: SimulationDesign) -> Dataset:
     else:
         C = np.empty((n, 0))
 
-    p_m = expit(_mediator_eta_vec(design.mediator, x, C))
+    p_m = expit(_mediator_eta(design.mediator, x, C))
     m = (keyed_stream(design.seed, _SIM_DOMAIN, _ROLE_MEDIATOR).random(n) < p_m).astype(np.int64)
 
     # inverse-CDF draw on the same cumulative probabilities the model exposes
-    cum = _cumulative_matrix(design.outcome, x, m, C)
+    cum = _cumulative_probs(design.outcome, x, m, C)
     u_y = keyed_stream(design.seed, _SIM_DOMAIN, _ROLE_OUTCOME).random(n)
     y = 1 + np.sum(u_y[:, None] >= cum, axis=1).astype(np.int64)
 

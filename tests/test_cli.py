@@ -442,3 +442,100 @@ class TestUsageErrors:
         assert main(["fit", "--data", str(bad), "--out", str(tmp_path / "f.csv")]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "row 1" in err and "m" in err
+
+
+COV_FLAGS = [
+    "--n", "400", "--mean-x", "3", "--sd-x", "1.5",
+    "--gamma0", "-1.0", "--gamma-x", "0.5", "--gamma-c", "0.4",
+    "--alpha", "2.5,5.5", "--beta-x", "1.1", "--beta-m", "0.7",
+    "--beta-xm", "0.5", "--beta-c", "-0.6",
+    "--cov-means", "0.5", "--cov-sds", "1.0",
+]
+
+
+def run_both_formats(tmp_path, argv):
+    """Run ``argv`` with --format csv and with --format json; return the CSV
+    metadata and rows and the JSON document."""
+    csv_out, json_out = tmp_path / "run.csv", tmp_path / "run.json"
+    assert main([*argv, "--out", str(csv_out)]) == EXIT_OK
+    assert main([*argv, "--format", "json", "--out", str(json_out)]) == EXIT_OK
+    metadata, rows = read_csv(csv_out)
+    payload = json.loads(json_out.read_text())
+    # the two command lines differ in --format and --out only
+    assert {k: v for k, v in metadata.items() if k != "command"} == {
+        k: v for k, v in payload["metadata"].items() if k != "command"
+    }
+    return rows, payload
+
+
+def assert_same_records(rows, records):
+    """CSV rows (strings) hold exactly the JSON records: same columns in the
+    same order, null as an empty cell, floats to the last bit."""
+    assert len(rows) == len(records)
+    for row, record in zip(rows, records):
+        assert list(row) == list(record)
+        for key, value in record.items():
+            if value is None:
+                assert row[key] == "", (key, row)
+            elif isinstance(value, float):
+                assert float(row[key]) == value, (key, row)
+            else:
+                assert row[key] == str(value), (key, row)
+
+
+def parameter_records(payload):
+    return [
+        {"model": model, "parameter": name, "estimate": value,
+         "std_error": payload[f"{model}_fit"]["standard_errors"][name]}
+        for model in ("mediator", "outcome")
+        for name, value in payload[f"{model}_fit"]["parameters"].items()
+    ]
+
+
+class TestFormatParity:
+    """Every CSV table and sidecar holds the records of the JSON document of
+    the same run."""
+
+    def test_effects(self, tmp_path):
+        rows, payload = run_both_formats(tmp_path, [
+            "effects", "--params", str(DATA_DIR / "params_j5.json"), "--x", "3.5", "--xstar", "2"])
+        assert_same_records(rows, payload["effects"])
+
+    def test_fit(self, tmp_path):
+        data_csv = tmp_path / "data.csv"
+        assert main(["simulate", *COV_FLAGS, "--seed", "7", "--out", str(data_csv)]) == EXIT_OK
+        rows, payload = run_both_formats(tmp_path, ["fit", "--data", str(data_csv)])
+        assert_same_records(rows, parameter_records(payload))
+
+    @pytest.mark.parametrize(
+        "flags, extra",
+        [
+            (SPARSE_FLAGS, ["--bootstrap", "16", "--seed", "17"]),
+            (SPARSE_FLAGS, ["--bootstrap", "1", "--seed", "17"]),  # boot_sd is null
+            (SPARSE_FLAGS, ["--bootstrap", "0"]),
+            (COV_FLAGS, ["--c", "0.5", "--bootstrap", "8", "--seed", "3"]),
+        ],
+        ids=["bootstrap", "one-resample", "no-bootstrap", "covariate"],
+    )
+    def test_analyze(self, tmp_path, flags, extra):
+        data_csv = tmp_path / "data.csv"
+        assert main(["simulate", *flags, "--seed", "7", "--out", str(data_csv)]) == EXIT_OK
+        rows, payload = run_both_formats(tmp_path, [
+            "analyze", "--data", str(data_csv), "--x", "3.5", "--xstar", "2", *extra])
+        assert_same_records(rows, payload["effects"])
+        _, param_rows = read_csv(tmp_path / "run_params.csv")
+        assert_same_records(param_rows, parameter_records(payload))
+
+    def test_mc_study(self, tmp_path):
+        rows, payload = run_both_formats(tmp_path, [
+            "mc-study", *J3_FLAGS, "--n", "120", "--replications", "6",
+            "--x", "3.5", "--xstar", "2", "--seed", "5"])
+        assert_same_records(rows, payload["summary"])
+        _, raw_rows = read_csv(tmp_path / "run_raw.csv")
+        labels = [(entry["effect"], entry["level"]) for entry in payload["summary"]]
+        assert_same_records(raw_rows, [
+            {"replicate": estimate["replicate"], "effect": effect, "level": level,
+             "log_estimate": value}
+            for estimate in payload["estimates"]
+            for (effect, level), value in zip(labels, estimate["values"])
+        ])

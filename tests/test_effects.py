@@ -354,3 +354,71 @@ class TestEffectTable:
             assert abs(t - (d + i)) < 1e-10
         with pytest.raises(DimensionError):
             effect_table(EffectQuery(3.5, 2.0), med, out)
+
+
+def _saturated_case(rng):
+    """A random model pair and query where every threshold logit
+    alpha_j - eta (both exposures, both mediator values) and both mediator
+    logits gamma0 + gammaX*v + gammaC.c lie more than 30 from zero."""
+    p = int(rng.integers(3))
+    J = int(rng.integers(2, 6))
+    x, xs = rng.uniform(-3, 3, size=2)
+    c = rng.uniform(-1, 1, size=p)
+    bx, bm, bxm = rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-1, 1)
+    bc = rng.uniform(-1, 1, size=p)
+    etas = [bx * v + bm * m + bxm * v * m + bc @ c for v in (x, xs) for m in (0, 1)]
+    below = int(rng.integers(J))
+    alpha = np.concatenate([
+        min(etas) - 30.5 - np.sort(rng.uniform(0, 40, size=below))[::-1],
+        max(etas) + 30.5 + np.sort(rng.uniform(0, 40, size=J - 1 - below)),
+    ])
+    gx, gc = rng.uniform(-2, 2), rng.uniform(-1, 1, size=p)
+    rest = [gx * v + gc @ c for v in (x, xs)]
+    g0 = 30.5 + rng.uniform(0, 30) - min(rest) if rng.integers(2) else -30.5 - rng.uniform(0, 30) - max(rest)
+    med = MediatorModel(g0, gx, tuple(gc))
+    out = OutcomeModel(tuple(alpha), bx, bm, bxm, tuple(bc))
+    return med, out, EffectQuery(x, xs, tuple(c))
+
+
+def _mp_counterfactual_logit(j, x, xstar, c, med, out):
+    # logit P(Y(x, M(xstar)) <= j | c) by direct summation over m, with every
+    # survival term written as F(-z) so that nothing cancels at |z| ~ 100
+    F = lambda z: 1 / (1 + mpmath.exp(-z))
+    mpf = mpmath.mpf
+    x, xstar = mpf(x), mpf(xstar)
+    c = [mpf(v) for v in c]
+    lp = mpf(med.gamma0) + mpf(med.gammaX) * xstar + mpmath.fsum(mpf(g) * v for g, v in zip(med.gammaC, c))
+    below = above = mpf(0)
+    for m, w in ((0, F(-lp)), (1, F(lp))):
+        eta = (mpf(out.betaX) * x + mpf(out.betaM) * m + mpf(out.betaXM) * x * m
+               + mpmath.fsum(mpf(b) * v for b, v in zip(out.betaC, c)))
+        z = mpf(out.alpha[j - 1]) - eta
+        below += F(z) * w
+        above += F(-z) * w
+    return mpmath.log(below) - mpmath.log(above)
+
+
+def test_effect_table_matches_mpmath_at_saturated_predictors(rng):
+    # where every logit is beyond +-30 the closed forms difference log1pexp
+    # terms that nearly cancel; a 60-digit direct summation is the reference
+    worst = 0.0
+    with mpmath.workdps(60):
+        for _ in range(200):
+            med, out, q = _saturated_case(rng)
+            for v in (q.x, q.xstar):
+                assert abs(med.linear_predictor(v, q.c)) > 30
+                for m in (0, 1):
+                    eta = out.linear_predictor(v, m, q.c)
+                    assert np.all(np.abs(np.asarray(out.alpha) - eta) > 30)
+            table = effect_table(q, med, out)
+            for j in range(1, out.J):
+                cf = {(a, b): _mp_counterfactual_logit(j, a, b, q.c, med, out)
+                      for a, b in ((q.x, q.x), (q.x, q.xstar), (q.xstar, q.xstar))}
+                oracle = (
+                    cf[q.xstar, q.xstar] - cf[q.x, q.x],
+                    cf[q.xstar, q.xstar] - cf[q.x, q.xstar],
+                    cf[q.x, q.xstar] - cf[q.x, q.x],
+                )
+                got = (table.log_tce[j - 1], table.log_nde[j - 1], table.log_nie[j - 1])
+                worst = max(worst, *(abs(g - float(o)) for g, o in zip(got, oracle)))
+    assert worst <= 1e-12

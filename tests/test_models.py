@@ -15,7 +15,6 @@ from ordmed import (
     DimensionError,
     MediatorModel,
     ModelSpecError,
-    ObservationRecord,
     OutcomeModel,
     category_probabilities,
     cumulative_probability,
@@ -144,21 +143,13 @@ class TestModelConstruction:
         with pytest.raises(AttributeError):
             J3_OUTCOME.betaX = 2.0
 
-    def test_record_validation(self):
-        with pytest.raises(ValueError):
-            ObservationRecord(1.0, 2, 1)
-        with pytest.raises(ValueError):
-            ObservationRecord(float("nan"), 0, 1)
-        with pytest.raises(ValueError):
-            ObservationRecord(1.0, 0, 0)
-
 
 class TestValidateDataset:
     def test_valid_rows(self):
         data = validate_dataset([(0.1, 0, 1), (0.2, 1, 3), (0.3, 0, 2)], J=3)
         assert isinstance(data, Dataset)
         assert data.n == 3 and data.J == 3 and data.p == 0
-        assert data.records[1] == ObservationRecord(0.2, 1, 3)
+        assert (data.x[1], data.m[1], data.y[1]) == (0.2, 1, 3)
 
     def test_accepts_numeric_strings(self):
         data = validate_dataset([("0.5", "1", "2", "0.25")], J=2, p=1)
