@@ -30,6 +30,8 @@ from .models import (
     _check_level,
     _check_mediator_value,
     _covariate_vector,
+    _finite_scalar,
+    _finite_tuple,
     _mediator_eta,
     category_probabilities,
     cumulative_probability,
@@ -50,15 +52,9 @@ class EffectQuery:
     c: tuple[float, ...] = ()
 
     def __post_init__(self):
-        x, xstar = float(self.x), float(self.xstar)
-        if not (np.isfinite(x) and np.isfinite(xstar)):
-            raise ValueError(f"x and xstar must be finite, got {self.x!r}, {self.xstar!r}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "xstar", xstar)
-        c = tuple(float(v) for v in self.c)
-        if c and not np.all(np.isfinite(c)):
-            raise ValueError(f"covariates must be finite, got {self.c!r}")
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "x", _finite_scalar(self.x, "x"))
+        object.__setattr__(self, "xstar", _finite_scalar(self.xstar, "xstar"))
+        object.__setattr__(self, "c", _finite_tuple(self.c, "c"))
 
 
 @dataclass(frozen=True)

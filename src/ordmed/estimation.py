@@ -10,6 +10,17 @@ steps finish a fit whose likelihood is already flat to double precision.
 The fit stops when max |gradient| <= 1e-8, or when every halving is rejected
 (nothing measurable is left to gain).
 
+The loop runs a stack of independent problems in lockstep: every round
+evaluates the pending candidate of each running problem in one kernel call,
+then accepts or halves per problem.  The kernels use only operations whose
+result for one problem does not depend on the rest of the stack (elementwise
+arithmetic, reductions over the last axis, stacked matrix products and
+solves, and ``bincount`` over per-problem offset indices), so a problem's
+trajectory and result are bitwise the same in a stack of any size.  A single
+fit is a stack of one; the bootstrap and the Monte Carlo study fit their
+resamples and replicates in stacks of 16.  Failures are recorded
+per problem and never stop the rest of the stack.
+
 The proportional-odds log-likelihood, score and Hessian come from one
 array-valued kernel over all records; its derivatives are written in density
 ratios f/pi, so a category probability near underflow never produces a NaN.
@@ -21,7 +32,9 @@ delta method, which leaves the optimizer unconstrained.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,13 +46,18 @@ from .models import (
     _category_probs,
     _mediator_eta,
 )
-from .numerics import expit, log1pexp
+from .numerics import expit, expit_pair, log1pexp
 
 GRADIENT_TOL = 1e-8
 _LOGLIK_RTOL = 1e-12
 _MAX_ITERATIONS = 100
 _MAX_HALVINGS = 30
 _DIVERGENCE_NORM = 1e3
+
+# Problems per stack in the bootstrap and the Monte Carlo study: enough to
+# spread numpy's fixed cost per call over many fits, few enough that the
+# stacked arrays stay small beside the rest of a run's memory.
+_STACK_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -50,10 +68,14 @@ class FitResult:
     ``model``: (gamma0, gammaX, gammaC...) for the mediator regression,
     (alpha_1..alpha_{J-1}, betaX, betaM, betaXM, betaC...) for the outcome
     regression.  Entries are NaN when the observed information is not
-    positive definite.  ``iterations`` counts accepted Newton steps and
+    positive definite.  ``iterations`` counts accepted Newton steps,
     ``evaluations`` counts evaluations of the log-likelihood with its score
-    and Hessian, the starting point included.  A fit that does not converge
-    raises instead of returning, so every FitResult is a converged fit.
+    and Hessian, the starting point included, and ``halvings`` counts
+    rejected candidates, so evaluations == 1 + iterations + halvings.
+    ``fallback_steps`` counts iterations whose search direction was the
+    damped gradient because the Newton direction was not an ascent
+    direction.  A fit that does not converge raises instead of returning, so
+    every FitResult is a converged fit.
     """
 
     model: MediatorModel | OutcomeModel
@@ -62,6 +84,8 @@ class FitResult:
     iterations: int
     standard_errors: tuple[float, ...]
     evaluations: int
+    halvings: int
+    fallback_steps: int
 
 
 def parameter_labels(model):
@@ -73,6 +97,29 @@ def parameter_labels(model):
         + ("betaX", "betaM", "betaXM")
         + tuple(f"betaC{i}" for i in range(1, model.p + 1))
     )
+
+
+class _Stack(NamedTuple):
+    """S datasets of n records each with J levels, stacked on a leading axis:
+    x, m, y of shape (S, n) and covariates of shape (S, n, p)."""
+
+    x: np.ndarray
+    m: np.ndarray
+    y: np.ndarray
+    covariates: np.ndarray
+    J: int
+
+    @classmethod
+    def of(cls, datasets):
+        return cls(*(np.stack([getattr(d, f) for d in datasets]) for f in ("x", "m", "y", "covariates")),
+                   datasets[0].J)
+
+    @classmethod
+    def one(cls, data: Dataset):
+        return cls(data.x[None], data.m[None], data.y[None], data.covariates[None], data.J)
+
+    def take(self, rows):
+        return _Stack(self.x[rows], self.m[rows], self.y[rows], self.covariates[rows], self.J)
 
 
 def _check_dims(model, data: Dataset):
@@ -105,10 +152,9 @@ def loglik_outcome(model: OutcomeModel, data: Dataset):
 def mediator_loglik_gradient(model: MediatorModel, data: Dataset):
     """Score of loglik_mediator with respect to (gamma0, gammaX, gammaC...)."""
     _check_dims(model, data)
-    Z = _mediator_design(data)
     theta = np.concatenate([[model.gamma0, model.gammaX], model.gammaC])
-    _, grad, _ = _bernoulli_parts(theta, Z, data.m.astype(float))
-    return grad
+    _, grad, _, _ = _bernoulli_parts(theta[None], _mediator_design(data)[None], data.m[None].astype(float))
+    return grad[0]
 
 
 def outcome_loglik_gradient(model: OutcomeModel, data: Dataset):
@@ -117,10 +163,12 @@ def outcome_loglik_gradient(model: OutcomeModel, data: Dataset):
     _check_dims(model, data)
     alpha = np.asarray(model.alpha, dtype=float)
     beta = np.concatenate([[model.betaX, model.betaM, model.betaXM], model.betaC])
-    _, grad, _ = _proportional_odds_parts(alpha, beta, _outcome_design(data), data.y, data.J)
-    if grad is None:
+    _, grad, _, ok = _proportional_odds_parts(
+        alpha[None], beta[None], _outcome_design(data)[None], data.y[None], data.J
+    )
+    if not ok[0]:
         raise ValueError("gradient undefined: some record has probability zero")
-    return grad
+    return grad[0]
 
 
 def fit_mediator(data: Dataset) -> FitResult:
@@ -130,18 +178,7 @@ def fit_mediator(data: Dataset) -> FitResult:
     Complete separation is reported as :class:`SeparationError` when the
     parameter norm passes 1e3 while the likelihood is still improving.
     """
-    if not (np.any(data.m == 0) and np.any(data.m == 1)):
-        raise DegenerateDataError("mediator takes a single value; need both M=0 and M=1 to fit")
-    Z = _mediator_design(data)
-    _require_full_rank(Z, "mediator design matrix (1, x, c)")
-    m = data.m.astype(float)
-
-    theta, ll, grad, hess, iters, evals = _newton_maximize(
-        lambda t: _bernoulli_parts(t, Z, m), np.zeros(Z.shape[1]), "mediator model"
-    )
-    se = _delta_method_errors(np.eye(theta.size), -hess)
-    model = MediatorModel(theta[0], theta[1], tuple(theta[2:]))
-    return FitResult(model, ll, float(np.max(np.abs(grad))), iters, tuple(se), evals)
+    return _returned(_fit_mediators(_Stack.one(data))[0])
 
 
 def fit_outcome(data: Dataset) -> FitResult:
@@ -152,93 +189,202 @@ def fit_outcome(data: Dataset) -> FitResult:
     Slopes start at zero and thresholds at the empirical marginal cumulative
     logits of Y.
     """
-    counts = np.bincount(data.y, minlength=data.J + 1)[1:]
-    missing = np.flatnonzero(counts == 0) + 1
-    if missing.size:
-        raise DegenerateDataError(
-            f"outcome level(s) {', '.join(map(str, missing))} never observed; "
-            f"every level 1..{data.J} must appear at least once"
-        )
-    W = _outcome_design(data)
-    _require_full_rank(np.column_stack([np.ones(data.n), W]), "outcome design matrix (1, x, m, x*m, c)")
+    return _returned(_fit_outcomes(_Stack.one(data))[0])
 
-    K = data.J - 1
-    cum = np.cumsum(counts)[:-1] / data.n
-    alpha0 = np.log(cum / (1.0 - cum))
-    if K == 1:
-        phi0 = np.concatenate([alpha0, np.zeros(W.shape[1])])
-    else:
-        phi0 = np.concatenate([alpha0[:1], np.log(np.diff(alpha0)), np.zeros(W.shape[1])])
 
-    phi, ll, grad_phi, hess_phi, iters, evals = _newton_maximize(
-        lambda ph: _outcome_parts_phi(ph, K, W, data.y, data.J), phi0, "outcome model"
+def _returned(result):
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _fit_pairs(stack: _Stack):
+    """Fit both regressions to every dataset of a stack.  Returns one entry
+    per dataset: the (mediator, outcome) fits, or the error that
+    ``fit_mediator`` and then ``fit_outcome`` raise on it."""
+    results = _fit_mediators(stack)
+    fitted = [s for s, r in enumerate(results) if isinstance(r, FitResult)]
+    if fitted:
+        outcomes = _fit_outcomes(stack if len(fitted) == len(results) else stack.take(fitted))
+        for s, outcome in zip(fitted, outcomes):
+            results[s] = outcome if isinstance(outcome, Exception) else (results[s], outcome)
+    return results
+
+
+def _fit_mediators(stack: _Stack):
+    """fit_mediator on each dataset of a stack: per dataset, a FitResult or
+    the error."""
+    both = ((stack.m == 0).any(axis=1) & (stack.m == 1).any(axis=1)).tolist()
+    results = [
+        None if ok else DegenerateDataError("mediator takes a single value; need both M=0 and M=1 to fit")
+        for ok in both
+    ]
+    Z = _mediator_design(stack)
+    live = _full_rank(Z, results, "mediator design matrix (1, x, c)")
+    if not live:
+        return results
+    rows = _rows(live, len(results))
+    theta, hess, outcomes = _newton_maximize(
+        _bernoulli_parts, np.zeros((len(live), Z.shape[2])), (Z[rows], stack.m[rows].astype(float)),
+        "mediator model",
     )
+    done = _converged(results, live, outcomes)
+    if done:
+        se = _delta_method_errors(None, -hess[done])
+        for i, t, errors in zip(done, theta[done], se):
+            results[live[i]] = _fit_result(MediatorModel(t[0], t[1], tuple(t[2:])), outcomes[i], errors)
+    return results
 
-    alpha = _alpha_from_phi(phi, K)
-    beta = phi[K:]
-    jac = _phi_jacobian(phi, K)
-    se = _delta_method_errors(jac, -hess_phi)
 
-    if np.any(np.diff(alpha) <= 0.0):
-        raise ConvergenceError(
-            "threshold ordering degenerate at the optimum (a gap underflowed to zero); "
-            "the data cannot separate adjacent outcome levels"
+def _fit_outcomes(stack: _Stack):
+    """fit_outcome on each dataset of a stack: per dataset, a FitResult or
+    the error."""
+    S, n = stack.y.shape
+    J = stack.J
+    K = J - 1
+    counts = np.bincount(
+        (stack.y + np.arange(0, S * (J + 1), J + 1)[:, None]).ravel(), minlength=S * (J + 1)
+    ).reshape(S, J + 1)[:, 1:]
+    results = [None] * S
+    for s in np.flatnonzero((counts == 0).any(axis=1)):
+        missing = np.flatnonzero(counts[s] == 0) + 1
+        results[s] = DegenerateDataError(
+            f"outcome level(s) {', '.join(map(str, missing))} never observed; "
+            f"every level 1..{J} must appear at least once"
         )
-    model = OutcomeModel(tuple(alpha), beta[0], beta[1], beta[2], tuple(beta[3:]))
-    return FitResult(model, ll, float(np.max(np.abs(grad_phi))), iters, tuple(se), evals)
+    W = _outcome_design(stack)
+    live = _full_rank(
+        np.concatenate([np.ones((S, n, 1)), W], axis=2), results, "outcome design matrix (1, x, m, x*m, c)"
+    )
+    if not live:
+        return results
+    cum = np.cumsum(counts[live], axis=1)[:, :-1] / n
+    alpha0 = np.log(cum / (1.0 - cum))
+    slopes0 = np.zeros((len(live), W.shape[2]))
+    if K == 1:
+        phi0 = np.concatenate([alpha0, slopes0], axis=1)
+    else:
+        phi0 = np.concatenate([alpha0[:, :1], np.log(np.diff(alpha0, axis=1)), slopes0], axis=1)
+
+    rows = _rows(live, S)
+    phi, hess, outcomes = _newton_maximize(
+        lambda phi, W, y: _outcome_parts_phi(phi, K, W, y, J), phi0, (W[rows], stack.y[rows]), "outcome model"
+    )
+    done = _converged(results, live, outcomes)
+    if done:
+        phi = phi[done]
+        alpha = _alpha_from_phi(phi, K)
+        se = _delta_method_errors(_phi_jacobian(phi, K), -hess[done])
+        ordered = (~(np.diff(alpha, axis=1) <= 0.0).any(axis=1)).tolist()
+        for i, a, beta, errors, ok in zip(done, alpha, phi[:, K:], se, ordered):
+            if not ok:
+                results[live[i]] = ConvergenceError(
+                    "threshold ordering degenerate at the optimum (a gap underflowed to zero); "
+                    "the data cannot separate adjacent outcome levels"
+                )
+            else:
+                model = OutcomeModel(tuple(a), beta[0], beta[1], beta[2], tuple(beta[3:]))
+                results[live[i]] = _fit_result(model, outcomes[i], errors)
+    return results
+
+
+def _full_rank(designs, results, what):
+    """Record a rank-deficiency error for every problem not yet failed whose
+    design is rank-deficient; return the problems still without an error."""
+    for s, rank in enumerate(np.linalg.matrix_rank(designs).tolist()):
+        if rank < designs.shape[2] and results[s] is None:
+            results[s] = DegenerateDataError(f"{what} is rank-deficient; parameters are not identifiable")
+    return [s for s, r in enumerate(results) if r is None]
+
+
+def _rows(live, S):
+    # index of the live problems' rows: a view when every problem is live
+    return slice(None) if len(live) == S else live
+
+
+def _converged(results, live, outcomes):
+    """Store the engine's errors of the live problems; return the positions,
+    among the live problems, of those that converged."""
+    done = []
+    for i, (s, outcome) in enumerate(zip(live, outcomes)):
+        if isinstance(outcome, Exception):
+            results[s] = outcome
+        else:
+            done.append(i)
+    return done
+
+
+def _fit_result(model, outcome, standard_errors):
+    ll, gnorm, (iterations, evaluations, halvings, fallback_steps) = outcome
+    return FitResult(model, ll, gnorm, iterations, tuple(standard_errors), evaluations, halvings,
+                     fallback_steps)
 
 
 # ----------------------------------------------------------------------
 # designs and likelihood parts
+#
+# Designs are built from a Dataset, (n, q), or from a _Stack, (S, n, q).
 
-def _mediator_design(data: Dataset):
-    return np.column_stack([np.ones(data.n), data.x, data.covariates])
+def _mediator_design(data):
+    return np.concatenate([np.ones(data.x.shape + (1,)), data.x[..., None], data.covariates], axis=-1)
 
 
-def _outcome_design(data: Dataset):
+def _outcome_design(data):
     x = data.x
     m = data.m.astype(float)
-    return np.column_stack([x, m, x * m, data.covariates])
-
-
-def _require_full_rank(design, what):
-    if np.linalg.matrix_rank(design) < design.shape[1]:
-        raise DegenerateDataError(f"{what} is rank-deficient; parameters are not identifiable")
+    return np.concatenate([x[..., None], m[..., None], (x * m)[..., None], data.covariates], axis=-1)
 
 
 def _bernoulli_parts(theta, Z, m):
-    # log-likelihood, score and Hessian of a logistic regression at theta.
-    eta = Z @ theta
-    ll = float(np.sum(m * eta - log1pexp(eta)))
+    # log-likelihood, score and Hessian of S logistic regressions:
+    # theta (S, q), Z (S, n, q), m (S, n)
+    eta = (Z @ theta[:, :, None])[:, :, 0]
+    ll = (m * eta - log1pexp(eta)).sum(axis=1)
     prob = expit(eta)
-    grad = Z.T @ (m - prob)
-    hess = -(Z * (prob * (1.0 - prob))[:, None]).T @ Z
-    return ll, grad, hess
+    grad = (Z.mT @ (m - prob)[:, :, None])[:, :, 0]
+    hess = -((Z * (prob * (1.0 - prob))[:, :, None]).mT @ Z)
+    return ll, grad, hess, np.ones(ll.shape, dtype=bool)
 
 
 def _proportional_odds_parts(alpha, beta, W, y, J):
-    """Log-likelihood, score and Hessian in the natural (alpha, beta)
-    parameterization.  Returns (-inf, None, None) when any record's category
-    probability is nonpositive, which the line search treats as a rejection.
+    """Log-likelihood, score and Hessian of S proportional-odds problems in
+    the natural (alpha, beta) parameterization: alpha (S, J-1), beta (S, q),
+    W (S, n, q), y (S, n).  Returns ll (S,), grad (S, d), hess (S, d, d) and
+    the mask of problems whose every category probability is positive; the
+    others get ll = -inf (which the line search treats as a rejection) and
+    zero derivatives.
 
     Record i sits between the thresholds zh = alpha_{y_i} - eta_i above and
     zl = alpha_{y_i - 1} - eta_i below (+-inf at the ends), so every
     derivative of log pi_i is a function of the density ratios f(zh)/pi_i and
     f(zl)/pi_i.  Per-threshold sums are gathered with ``bincount`` over the
-    upper and lower threshold index of each record.
+    upper and lower threshold index of each record, offset by J + 1 per
+    problem.
     """
+    S, n, q = W.shape
     K = J - 1
-    eta = W @ beta
-    ext = np.concatenate([[-np.inf], alpha, [np.inf]])
-    lo = y - 1
-    zh = ext[y] - eta
-    zl = ext[lo] - eta
-    a, b, ac, bc = expit(np.concatenate([zh, zl, -zh, -zl])).reshape(4, -1)
+    eta = (W @ beta[:, :, None])[:, :, 0]
+    ext = np.empty((S, J + 1))
+    ext[:, 0] = -np.inf
+    ext[:, 1:J] = alpha
+    ext[:, J] = np.inf
+    hi = y + np.arange(0, S * (J + 1), J + 1)[:, None]  # each record's upper threshold in ext.ravel()
+    lo = hi - 1
+    zh = ext.ravel()[hi] - eta
+    zl = ext.ravel()[lo] - eta
+    (a, b), (ac, bc) = expit_pair(np.concatenate([zh[None], zl[None]]))
     # F(zh) - F(zl) in cancellation-free product form
     pi = bc * a * (-np.expm1(zl - zh))
-    if np.any(pi <= 0.0):
-        return -np.inf, None, None
-    ll = float(np.sum(np.log(pi)))
+    del eta, zh, zl  # the stacked temporaries set the memory peak
+    ok = ~(pi <= 0.0).any(axis=1)
+    if not ok.all():
+        ll = np.full(S, -np.inf)
+        grad = np.zeros((S, K + q))
+        hess = np.zeros((S, K + q, K + q))
+        if ok.any():
+            ll[ok], grad[ok], hess[ok], _ = _proportional_odds_parts(alpha[ok], beta[ok], W[ok], y[ok], J)
+        return ll, grad, hess, ok
+    ll = np.log(pi).sum(axis=1)
 
     # Densities fa = f(zh), fb = f(zl) of the logistic cdf F (f = F(1-F)),
     # and the ratios ra = fa/pi, rb = fb/pi, s = F(zl)(1-F(zh))/pi.  With
@@ -254,130 +400,225 @@ def _proportional_odds_parts(alpha, beta, W, y, J):
     ra = fa / pi
     rb = fb / pi
     s = b * ac / pi
+    hi = hi.ravel()
+    lo = lo.ravel()
 
     def per_threshold(index, w):
-        # sum of w over the records whose ext[index] is alpha_1..alpha_K
-        return np.bincount(index, weights=w, minlength=J + 1)[1:J]
+        # per problem, sum of w over the records whose ext[index] is alpha_1..alpha_K
+        return np.bincount(index, weights=w.ravel(), minlength=S * (J + 1)).reshape(S, J + 1)[:, 1:J]
+
+    # Blocks in an order that frees each stacked temporary once it is used.
+    grad = np.empty((S, K + q))
+    grad[:, :K] = per_threshold(hi, ra) - per_threshold(lo, rb)
+    grad[:, K:] = (W.mT @ (b - ac)[:, :, None])[:, :, 0]
+    hess = np.zeros((S, K + q, K + q))
+    thresholds = np.arange(K)
+    hess[:, thresholds, thresholds] = per_threshold(hi, -ra * (a + s)) + per_threshold(lo, -rb * (bc + s))
+    off = per_threshold(hi, ra * rb)[:, 1:]  # (alpha_{j-1}, alpha_j), j = 2..K
+    hess[:, thresholds[:-1], thresholds[1:]] = off
+    hess[:, thresholds[1:], thresholds[:-1]] = off
+    del a, b, ac, bc, pi, ra, rb, s, hi, lo
 
     # cross derivatives of each record in the columns of its two thresholds
-    cross = np.zeros((y.size, J + 1))
-    records = np.arange(y.size)
-    cross[records, y] = fa
-    cross[records, lo] = fb
-
-    grad = np.concatenate([per_threshold(y, ra) - per_threshold(lo, rb), W.T @ (b - ac)])
-    hess = np.empty((K + W.shape[1],) * 2)
-    diag = per_threshold(y, -ra * (a + s)) + per_threshold(lo, -rb * (bc + s))
-    off = per_threshold(y, ra * rb)[1:]  # (alpha_{j-1}, alpha_j), j = 2..K
-    hess[:K, :K] = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    hess[:K, K:] = cross[:, 1:J].T @ W
-    hess[K:, :K] = hess[:K, K:].T
-    hess[K:, K:] = -(W.T @ ((fa + fb)[:, None] * W))
-    return ll, grad, hess
+    cross = np.zeros(S * n * (J + 1))
+    at_hi = np.arange(0, S * n * (J + 1), J + 1) + y.ravel()
+    cross[at_hi] = fa.ravel()
+    cross[at_hi - 1] = fb.ravel()
+    hess[:, :K, K:] = cross.reshape(S, n, J + 1)[:, :, 1:J].mT @ W
+    del cross, at_hi
+    hess[:, K:, :K] = hess[:, :K, K:].mT
+    hess[:, K:, K:] = -(W.mT @ ((fa + fb)[:, :, None] * W))
+    return ll, grad, hess, ok
 
 
 # ----------------------------------------------------------------------
 # unconstrained threshold parameterization
 #
 # phi = (alpha_1, log(alpha_2 - alpha_1), ..., log(alpha_{K} - alpha_{K-1}),
-#        betaX, betaM, betaXM, betaC...)
+#        betaX, betaM, betaXM, betaC...), one row per problem
 
 def _alpha_from_phi(phi, K):
-    if K == 1:
-        return phi[:1].copy()
-    return phi[0] + np.concatenate([[0.0], np.cumsum(np.exp(phi[1:K]))])
+    alpha = phi[:, :K].copy()
+    alpha[:, 1:] = phi[:, :1] + np.exp(phi[:, 1:K]).cumsum(axis=1)
+    return alpha
 
 
 def _phi_jacobian(phi, K):
     # d(alpha, beta) / d(phi): alpha_i = phi_0 + sum_{1 <= j <= i} exp(phi_j),
-    # so the threshold block is lower-triangular.
-    jac = np.eye(phi.size)
-    jac[:K, :K] = np.tril(np.concatenate([[1.0], np.exp(phi[1:K])]))
-    return jac
+    # so the threshold block is lower-triangular with column j scaled by
+    # exp(phi_j) (by 1 for j = 0).
+    S, d = phi.shape
+    row = np.arange(d)[:, None]
+    pattern = (row == row.T) | ((row >= row.T) & (row < K))
+    scale = np.ones((S, 1, d))
+    scale[:, 0, 1:K] = np.exp(phi[:, 1:K])
+    return pattern * scale
 
 
 def _outcome_parts_phi(phi, K, W, y, J):
     alpha = _alpha_from_phi(phi, K)
-    beta = phi[K:]
-    ll, grad, hess = _proportional_odds_parts(alpha, beta, W, y, J)
-    if grad is None:
-        return ll, None, None
+    ll, grad, hess, ok = _proportional_odds_parts(alpha, phi[:, K:], W, y, J)
     jac = _phi_jacobian(phi, K)
-    grad_phi = jac.T @ grad
-    hess_phi = jac.T @ hess @ jac
+    grad_phi = (jac.mT @ grad[:, :, None])[:, :, 0]
+    hess_phi = jac.mT @ hess @ jac
     # curvature of alpha in the gap parameters: d2 alpha_i / d phi_j^2 =
     # exp(phi_j) for 1 <= j <= i, weighted by the scores of alpha_j..alpha_K
     gaps = np.arange(1, K)
-    hess_phi[gaps, gaps] += np.exp(phi[1:K]) * np.cumsum(grad[K - 1:0:-1])[::-1]
-    return ll, grad_phi, hess_phi
+    hess_phi[:, gaps, gaps] += jac[:, K - 1, 1:K] * grad[:, K - 1:0:-1].cumsum(axis=1)[:, ::-1]
+    return ll, grad_phi, hess_phi, ok
 
 
 # ----------------------------------------------------------------------
 # Newton engine
 
-def _newton_maximize(fun, theta0, what):
-    """Maximize ``fun`` (returning log-likelihood, score, Hessian) from
-    theta0 by the loop described in the module docstring.  Returns (theta,
-    ll, grad, hess, iterations, evaluations): accepted steps and calls of
-    ``fun``, the starting point included."""
-    theta = np.asarray(theta0, dtype=float).copy()
-    ll, grad, hess = fun(theta)
-    evaluations = 1
-    if not np.isfinite(ll):
-        raise ConvergenceError(f"{what}: log-likelihood not finite at the starting values")
+def _newton_maximize(fun, theta0, args, what):
+    """Maximize S independent problems from the rows of theta0 by the loop
+    described in the module docstring.
 
-    iterations = 0
-    gnorm = float(np.max(np.abs(grad)))
-    while gnorm > GRADIENT_TOL:
-        if iterations == _MAX_ITERATIONS:
-            raise ConvergenceError(
-                f"{what}: no convergence after {_MAX_ITERATIONS} iterations "
-                f"(max |gradient| = {gnorm:.3e})"
+    ``fun(theta, *args)`` evaluates the running problems: theta (S', d) and
+    the rows of ``args`` (arrays with a leading problem axis) that belong to
+    them.  Returns the final theta (S, d) and Hessian (S, d, d) of every
+    problem, and per problem the error that stopped it or its final
+    (loglik, max |gradient|, counts), where counts are the accepted steps,
+    evaluations, rejected candidates and damped-gradient directions.
+
+    Arrays hold the rows of the running problems; the accept-or-halve rules
+    act on each problem's own Python floats, so they are the scalar rules of
+    a single fit whatever the stack size.
+    """
+    theta = np.array(theta0, dtype=float)
+    S = theta.shape[0]
+    ll, grad, hess, _ = fun(theta, *args)
+    final_theta, final_hess = np.empty_like(theta), np.empty_like(hess)
+    outcomes = [None] * S
+
+    # per running problem: its index in the stack, log-likelihood, max
+    # |gradient|, step length, candidates rejected since its last accepted
+    # step, and counts (iterations, evaluations, halvings, damped directions)
+    ids = list(range(S))
+    lls = ll.tolist()
+    gnorms = np.abs(grad).max(axis=1).tolist()
+    steps = [1.0] * S
+    rejected = [0] * S
+    counts = [[0, 1, 0, 0] for _ in range(S)]
+    stopped = []
+    for i in range(S):
+        if not math.isfinite(lls[i]):
+            outcomes[i] = ConvergenceError(f"{what}: log-likelihood not finite at the starting values")
+            stopped.append(i)
+        elif not gnorms[i] > GRADIENT_TOL:
+            stopped.append(i)
+    direction = np.empty_like(theta)
+
+    while True:
+        if stopped:
+            rows = [ids[i] for i in stopped]
+            final_theta[rows], final_hess[rows] = theta[stopped], hess[stopped]
+            for i in stopped:
+                if outcomes[ids[i]] is None:
+                    outcomes[ids[i]] = (lls[i], gnorms[i], tuple(counts[i]))
+            keep = [i for i in range(len(ids)) if i not in stopped]
+            if not keep:
+                return final_theta, final_hess, outcomes
+            theta, grad, hess, direction = theta[keep], grad[keep], hess[keep], direction[keep]
+            args = tuple(a[keep] for a in args)
+            ids, lls, gnorms, steps, rejected, counts = (
+                [v[i] for i in keep] for v in (ids, lls, gnorms, steps, rejected, counts)
             )
-        direction = _ascent_direction(grad, hess)
-        band = _LOGLIK_RTOL * (abs(ll) + 1.0)
-        step = 1.0
-        for _ in range(_MAX_HALVINGS + 1):
-            cand = theta + step * direction
-            cll, cgrad, chess = fun(cand)
-            evaluations += 1
-            if np.isfinite(cll) and cll >= ll - band:
-                cnorm = float(np.max(np.abs(cgrad)))
-                if cll > ll + band or cnorm < gnorm:
-                    break
-            step *= 0.5
+
+        # a new search direction for every problem whose last candidate was accepted
+        fresh = [i for i, r in enumerate(rejected) if r == 0]
+        if len(fresh) == len(ids):
+            direction, usable = _ascent_directions(grad, hess)
+            cand = theta + direction  # every step is 1
         else:
-            break
-        theta, ll, grad, hess, gnorm = cand, cll, cgrad, chess, cnorm
-        iterations += 1
-        if float(np.max(np.abs(theta))) > _DIVERGENCE_NORM:
-            raise SeparationError(
-                f"{what}: parameter norm exceeded {_DIVERGENCE_NORM:g} while the "
-                "log-likelihood is still improving; the data are likely completely separated"
-            )
-    return theta, ll, grad, hess, iterations, evaluations
+            usable = []
+            if fresh:
+                direction[fresh], usable = _ascent_directions(grad[fresh], hess[fresh])
+            cand = theta + np.array(steps)[:, None] * direction
+        if not all(usable):
+            for i, ok in zip(fresh, usable):
+                counts[i][3] += not ok
+
+        cll, cgrad, chess, _ = fun(cand, *args)
+        # max |gradient| and max |theta| of every candidate
+        cnorms, cmax = np.abs(np.concatenate([cgrad[None], cand[None]])).max(axis=2).tolist()
+        accepted = []
+        stopped = []
+        for i, (prev, new) in enumerate(zip(lls, cll.tolist())):
+            count = counts[i]
+            count[1] += 1
+            band = _LOGLIK_RTOL * (abs(prev) + 1.0)
+            if math.isfinite(new) and new >= prev - band and (new > prev + band or cnorms[i] < gnorms[i]):
+                accepted.append(i)
+                lls[i], gnorms[i], steps[i], rejected[i] = new, cnorms[i], 1.0, 0
+                count[0] += 1
+                if cmax[i] > _DIVERGENCE_NORM:
+                    outcomes[ids[i]] = SeparationError(
+                        f"{what}: parameter norm exceeded {_DIVERGENCE_NORM:g} while the "
+                        "log-likelihood is still improving; the data are likely completely separated"
+                    )
+                elif count[0] == _MAX_ITERATIONS and gnorms[i] > GRADIENT_TOL:
+                    outcomes[ids[i]] = ConvergenceError(
+                        f"{what}: no convergence after {_MAX_ITERATIONS} iterations "
+                        f"(max |gradient| = {gnorms[i]:.3e})"
+                    )
+                elif gnorms[i] > GRADIENT_TOL:
+                    continue
+                stopped.append(i)
+            else:
+                count[2] += 1
+                steps[i] *= 0.5
+                rejected[i] += 1
+                if rejected[i] > _MAX_HALVINGS:  # every halving rejected: converged
+                    stopped.append(i)
+        if len(accepted) == len(ids):
+            theta, grad, hess = cand, cgrad, chess
+        elif accepted:
+            theta[accepted], grad[accepted], hess[accepted] = cand[accepted], cgrad[accepted], chess[accepted]
 
 
-def _ascent_direction(grad, hess):
+def _ascent_directions(grad, hess):
+    """Newton directions of a stack, with a damped gradient step where the
+    Hessian is not usable.  Returns the directions and, per problem, whether
+    the Newton direction was used: it is used when it is finite and an
+    ascent direction, 0 < grad . d < inf."""
     try:
-        direction = np.linalg.solve(-hess, grad)
-        if grad @ direction > 0.0 and np.all(np.isfinite(direction)):
-            return direction
+        newton = np.linalg.solve(-hess, grad[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        pass
+        newton = np.stack([_solved_or_nan(-h, g) for h, g in zip(hess, grad)])
+    usable = [0.0 < slope < math.inf for slope in np.vecdot(grad, newton).tolist()]
+    if all(usable):
+        return newton, usable
     # Hessian not negative definite here: fall back to a damped gradient step.
-    return grad / (float(np.max(np.abs(np.diag(hess)))) + 1.0)
+    damped = grad / (np.abs(hess.diagonal(axis1=1, axis2=2)).max(axis=1) + 1.0)[:, None]
+    return np.where(np.array(usable)[:, None], newton, damped), usable
+
+
+def _solved_or_nan(a, b):
+    try:
+        return np.linalg.solve(a, b[:, None])[:, 0]
+    except np.linalg.LinAlgError:
+        return np.full(b.shape, np.nan)
 
 
 def _delta_method_errors(jac, information_phi):
-    """Standard errors of f(phi) from the observed information in phi, with
-    ``jac`` = d f / d phi; NaN when the information is not positive definite."""
+    """Standard errors of f(phi) from the observed information in phi of a
+    stack (S, d, d), with ``jac`` = d f / d phi (None: f is the identity); a
+    row is NaN when its information is not positive definite."""
     try:
-        cov_phi = np.linalg.inv(information_phi)
+        cov = np.linalg.inv(information_phi)
     except np.linalg.LinAlgError:
-        return np.full(information_phi.shape[0], np.nan)
-    cov = jac @ cov_phi @ jac.T
-    diag = np.diag(cov)
-    if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
-        return np.full(diag.size, np.nan)
-    return np.sqrt(diag)
+        cov = np.stack([_inverse_or_nan(a) for a in information_phi])
+    if jac is not None:
+        cov = jac @ cov @ jac.mT
+    diag = cov.diagonal(axis1=1, axis2=2)
+    positive = ((diag > 0.0) & (diag < np.inf)).all(axis=1)
+    return np.sqrt(np.where(positive[:, None], diag, np.nan))
+
+
+def _inverse_or_nan(a):
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return np.full(a.shape, np.nan)

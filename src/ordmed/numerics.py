@@ -13,10 +13,24 @@ import numpy as np
 def expit(z):
     """Logistic function 1 / (1 + exp(-z)), computed branch-wise so that
     exp() is only ever evaluated at non-positive arguments."""
+    z, large, small = _expit_branches(z)
+    out = np.where(z >= 0.0, large, small)
+    return float(out) if out.ndim == 0 else out
+
+
+def expit_pair(z):
+    """(expit(z), expit(-z)) for an array z from one exponential; each equals
+    the corresponding expit call exactly."""
+    z, large, small = _expit_branches(z)
+    return np.where(z >= 0.0, large, small), np.where(z <= 0.0, large, small)
+
+
+def _expit_branches(z):
+    # 1 / (1 + e) and e / (1 + e) with e = exp(-|z|): expit(z) for z >= 0
+    # and for z <= 0 respectively
     z = np.asarray(z, dtype=float)
     ez = np.exp(-np.abs(z))
-    out = np.where(z >= 0.0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-    return float(out) if out.ndim == 0 else out
+    return z, 1.0 / (1.0 + ez), ez / (1.0 + ez)
 
 
 def log1pexp(z):

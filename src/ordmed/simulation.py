@@ -17,8 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .effects import EffectQuery, effect_labels, effect_table
-from .estimation import fit_mediator, fit_outcome
-from .exceptions import ConvergenceError, DegenerateDataError, DimensionError, ModelSpecError
+from .estimation import _STACK_SIZE, _fit_pairs, _Stack
+from .exceptions import DegenerateDataError, DimensionError, ModelSpecError
 from .models import Dataset, MediatorModel, OutcomeModel, _cumulative_probs, _mediator_eta
 from .numerics import expit, inverse_normal_cdf, keyed_stream
 
@@ -167,7 +167,9 @@ def monte_carlo_study(design: SimulationDesign, replications, query: EffectQuery
 
     Replicate r draws its data from the stream keyed (design.seed, r), so the
     collection is reproducible bitwise and prefix-stable in the replication
-    count.
+    count.  Replicates are simulated and fitted 16 at a time;
+    each one's fits are bitwise those of ``fit_mediator``/``fit_outcome`` on
+    its dataset.
     """
     replications = int(replications)
     if replications < 1:
@@ -178,16 +180,17 @@ def monte_carlo_study(design: SimulationDesign, replications, query: EffectQuery
     rows = []
     ok_ids = []
     failed = []
-    for r in range(replications):
-        data = simulate_dataset(dataclasses.replace(design, seed=replicate_seed(design.seed, r)))
-        try:
-            med = fit_mediator(data).model
-            out = fit_outcome(data).model
-        except (DegenerateDataError, ConvergenceError):
-            failed.append(r)
-            continue
-        rows.append(effect_table(query, med, out).flatten())
-        ok_ids.append(r)
+    for start in range(0, replications, _STACK_SIZE):
+        ids = range(start, min(start + _STACK_SIZE, replications))
+        stack = _Stack.of([
+            simulate_dataset(dataclasses.replace(design, seed=replicate_seed(design.seed, r))) for r in ids
+        ])
+        for r, fits in zip(ids, _fit_pairs(stack)):
+            if isinstance(fits, Exception):
+                failed.append(r)
+            else:
+                rows.append(effect_table(query, fits[0].model, fits[1].model).flatten())
+                ok_ids.append(r)
 
     if not rows:
         raise DegenerateDataError(f"all {replications} replicates failed to fit")

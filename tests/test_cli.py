@@ -105,6 +105,13 @@ class TestEffectsCommand:
         assert code == EXIT_VALIDATION
         assert not out.exists()
 
+    def test_non_finite_query_exit_validation(self, tmp_path):
+        out = tmp_path / "effects.csv"
+        code = main(["effects", "--params", str(DATA_DIR / "params_j3.json"),
+                     "--x", "nan", "--xstar", "2", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert not out.exists()
+
     def test_unknown_param_field_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"gamma0": 0, "gammaX": 0, "alpha": [1.0],

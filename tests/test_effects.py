@@ -16,6 +16,7 @@ from ordmed import (
     DimensionError,
     EffectQuery,
     MediatorModel,
+    ModelSpecError,
     OutcomeModel,
     category_probabilities,
     counterfactual_cumulative_logit,
@@ -92,6 +93,24 @@ def test_frozen_constants_match_oracle():
     assert float(mpmath.mpf("2.5") - mpmath.mpf("1.1") * x - cross) == pytest.approx(
         COUNTERFACTUAL_J1, abs=1e-15
     )
+
+
+class TestEffectQuery:
+    @pytest.mark.parametrize("x, xstar, c", [
+        (math.nan, 2.0, ()),
+        (3.5, math.inf, ()),
+        (3.5, 2.0, (1.0, -math.inf)),
+        (3.5, 2.0, ("one",)),
+    ])
+    def test_invalid_query_is_a_model_spec_error(self, x, xstar, c):
+        # the same error class, and the same checks, as model construction
+        with pytest.raises(ModelSpecError):
+            EffectQuery(x, xstar, c)
+
+    def test_values_are_stored_as_floats(self):
+        q = EffectQuery(3, "2", (1,))
+        assert (q.x, q.xstar, q.c) == (3.0, 2.0, (1.0,))
+        assert all(type(v) is float for v in (q.x, q.xstar, *q.c))
 
 
 class TestGFunctions:

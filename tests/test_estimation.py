@@ -29,7 +29,14 @@ from ordmed import (
     replicate_seed,
     simulate_dataset,
 )
-from ordmed.estimation import _outcome_design, _proportional_odds_parts
+from ordmed.estimation import (
+    _fit_mediators,
+    _fit_outcomes,
+    _newton_maximize,
+    _outcome_design,
+    _proportional_odds_parts,
+    _Stack,
+)
 from ordmed.inference import _BOOTSTRAP_DOMAIN
 from ordmed.numerics import expit, keyed_stream
 
@@ -277,6 +284,12 @@ def _outcome_model(theta, J):
     return OutcomeModel(tuple(theta[:K]), theta[K], theta[K + 1], theta[K + 2], tuple(theta[K + 3:]))
 
 
+def _parts_of_one(alpha, beta, W, y, J):
+    """The stacked kernel on a stack of one problem, unstacked."""
+    ll, grad, hess, _ = _proportional_odds_parts(alpha[None], beta[None], W[None], y[None], J)
+    return ll[0], grad[0], hess[0]
+
+
 def _assert_parts_close(got, ref, rtol):
     ll, grad, hess = got
     ref_ll, ref_grad, ref_hess = ref
@@ -302,7 +315,7 @@ class TestKernel:
             if saturated:
                 assert np.max(np.abs(W @ beta)) > 30.0
             _assert_parts_close(
-                _proportional_odds_parts(alpha, beta, W, y, J),
+                _parts_of_one(alpha, beta, W, y, J),
                 _per_category_parts(alpha, beta, W, y, J),
                 1e-12,
             )
@@ -315,7 +328,7 @@ class TestKernel:
             W[:, 0] = rng.choice([-1.0, 1.0], 12) * rng.uniform(20.0, 60.0, 12)
             beta[0] = 1.0
             _assert_parts_close(
-                _proportional_odds_parts(alpha, beta, W, y, J),
+                _parts_of_one(alpha, beta, W, y, J),
                 _mpmath_parts(alpha, beta, W, y, J),
                 1e-13,
             )
@@ -327,7 +340,7 @@ class TestKernel:
         y = np.array([1, 2, 3, 2])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            ll, grad, hess = _proportional_odds_parts(
+            ll, grad, hess = _parts_of_one(
                 np.array([-0.5, 0.5]), np.array([400.0, 0.0, 0.0]), W, y, 3
             )
         assert np.isfinite(ll)
@@ -348,7 +361,7 @@ class TestKernel:
             for _ in range(10):
                 _, out = random_model_pair(rng, J=J, p=p)
                 theta = np.array([*out.alpha, out.betaX, out.betaM, out.betaXM, *out.betaC])
-                _, _, hess = _proportional_odds_parts(
+                _, _, hess = _parts_of_one(
                     theta[:J - 1], theta[J - 1:], W, data.y, J
                 )
                 fd = np.empty_like(hess)
@@ -387,6 +400,99 @@ class TestEvaluationCounts:
         assert np.mean(outcome) <= 9
         assert max(outcome) <= 30
         assert np.mean(mediator) <= 8
+
+    def test_evaluations_are_the_start_plus_steps_plus_halvings(self):
+        # every evaluation after the start is either an accepted step or a
+        # rejected (halved) candidate: on the J=3 and sparse J=5 reference
+        # fits, and on sparse bootstrap resamples, several of which halve
+        j3 = simulate_dataset(SimulationDesign(
+            n=500, mean_x=3.0, sd_x=1.5, mediator=J3_MEDIATOR, outcome=J3_OUTCOME, seed=1,
+        ))
+        sparse = simulate_dataset(SimulationDesign(
+            n=300, mean_x=3.0, sd_x=1.3, mediator=SPARSE_MEDIATOR, outcome=SPARSE_OUTCOME, seed=4242,
+        ))
+        fits = [fit_mediator(j3), fit_outcome(j3), fit_mediator(sparse), fit_outcome(sparse)]
+        for b in range(12):
+            idx = keyed_stream(99, _BOOTSTRAP_DOMAIN, b).integers(0, sparse.n, size=sparse.n)
+            fits.append(fit_outcome(sparse.subset(idx)))
+        for fit in fits:
+            assert fit.evaluations == 1 + fit.iterations + fit.halvings
+            assert fit.fallback_steps == 0
+        assert sum(fit.halvings for fit in fits) > 0
+
+    def test_damped_gradient_directions_are_counted(self):
+        # maximize -log(1 + t^2): the Hessian is positive for |t| > 1, so a
+        # start at t = 2 needs damped gradient steps before Newton takes over
+        def fun(theta):
+            t = theta[:, 0]
+            hess = (-2.0 * (1.0 - t * t) / (1.0 + t * t) ** 2)[:, None, None]
+            return -np.log1p(t * t), (-2.0 * t / (1.0 + t * t))[:, None], hess, np.ones(t.size, dtype=bool)
+
+        theta, _, (far, near) = _newton_maximize(fun, np.array([[2.0], [0.5]]), (), "test problem")
+        assert np.all(np.abs(theta) <= 1e-8)
+        for _, _, (iterations, evaluations, halvings, damped) in (far, near):
+            assert evaluations == 1 + iterations + halvings
+        assert far[2][3] >= 1
+        assert near[2][3] == 0
+
+
+def _bits(fit):
+    """Everything a fit reports, as raw bytes plus its counts."""
+    model = fit.model
+    if isinstance(model, MediatorModel):
+        params = (model.gamma0, model.gammaX, *model.gammaC)
+    else:
+        params = (*model.alpha, model.betaX, model.betaM, model.betaXM, *model.betaC)
+    floats = np.array([*params, fit.loglik, fit.gradient_norm, *fit.standard_errors])
+    return floats.tobytes(), fit.iterations, fit.evaluations, fit.halvings, fit.fallback_steps
+
+
+def _separated_dataset(rng, n, J, p):
+    # the mediator, and the top outcome level, split exactly at x = 0 with
+    # tiny margins
+    x = np.concatenate([np.linspace(-0.001, -0.0001, n // 2), np.linspace(0.0001, 0.001, n - n // 2)])
+    y = np.where(x > 0, J, np.arange(n) % (J - 1) + 1)
+    return _dataset(x, (x > 0).astype(np.int64), y, J, rng.normal(size=(n, p)))
+
+
+def _rank_deficient_dataset(rng, n, J, p):
+    # constant exposure: (1, x) and (1, x, m, x*m) are collinear
+    return _dataset(np.full(n, 2.0), rng.integers(0, 2, n), np.arange(n) % J + 1, J, rng.normal(size=(n, p)))
+
+
+class TestStackInvariance:
+    def test_stacked_fits_equal_single_fits_bitwise(self, rng):
+        # random stacks of 2-40 problems with a separated and a
+        # rank-deficient problem in the middle: every problem gets exactly
+        # the result, or the error class, of fitting it alone
+        classes = set()
+        for trial in range(8):
+            S = int(rng.integers(2, 41))
+            J = int(rng.integers(2, 7))
+            p = int(rng.integers(0, 3))
+            n = int(rng.integers(60, 161))
+            datasets = []
+            for s in range(S):
+                mediator, outcome = random_model_pair(rng, J=J, p=p)
+                datasets.append(simulate_dataset(SimulationDesign(
+                    n=n, mean_x=0.0, sd_x=1.0, mediator=mediator, outcome=outcome,
+                    seed=1000 * trial + s, cov_means=(0.0,) * p, cov_sds=(1.0,) * p,
+                )))
+            middle = S // 2
+            datasets[middle] = _separated_dataset(rng, n, J, p)
+            datasets.insert(middle + 1, _rank_deficient_dataset(rng, n, J, p))
+            stack = _Stack.of(datasets)
+            for stacked, fit in ((_fit_mediators(stack), fit_mediator), (_fit_outcomes(stack), fit_outcome)):
+                assert len(stacked) == len(datasets)
+                for data, got in zip(datasets, stacked):
+                    try:
+                        alone = fit(data)
+                    except (DegenerateDataError, ConvergenceError) as exc:
+                        assert type(got) is type(exc)
+                        classes.add(type(exc))
+                        continue
+                    assert _bits(got) == _bits(alone)
+        assert {SeparationError, DegenerateDataError} <= classes
 
 
 class TestFitMediator:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from ordmed import (
+    ConvergenceError,
+    DegenerateDataError,
     DimensionError,
     EffectQuery,
     MediatorModel,
@@ -133,6 +135,27 @@ class TestMonteCarloStudy:
         data = simulate_dataset(dataclasses.replace(design, seed=replicate_seed(design.seed, 0)))
         table = effect_table(QUERY, fit_mediator(data).model, fit_outcome(data).model)
         assert np.array_equal(summary.estimates[0], table.flatten())
+
+    def test_replicates_equal_per_replicate_enumeration(self):
+        # the Monte Carlo analogue of acceptance criterion 7(a): fitting in
+        # stacks gives bitwise the estimates of replaying each replicate
+        # through the public API, across several stacks; at n=40 some
+        # replicates fail, and exactly the enumeration's failures are listed
+        for n, seed, R in ((150, 4242, 37), (40, 3, 60)):
+            design = dataclasses.replace(SPARSE_DESIGN, n=n, seed=seed)
+            summary = monte_carlo_study(design, R, QUERY)
+            rows, failed = [], []
+            for r in range(R):
+                data = simulate_dataset(dataclasses.replace(design, seed=replicate_seed(seed, r)))
+                try:
+                    med, out = fit_mediator(data).model, fit_outcome(data).model
+                except (DegenerateDataError, ConvergenceError):
+                    failed.append(r)
+                    continue
+                rows.append(effect_table(QUERY, med, out).flatten())
+            assert np.array_equal(summary.estimates, np.vstack(rows))
+            assert summary.failed_replicates == tuple(failed)
+        assert failed
 
     def test_bitwise_reproducible(self):
         design = dataclasses.replace(SPARSE_DESIGN, n=120)
