@@ -25,9 +25,12 @@ The proportional-odds log-likelihood, score and Hessian come from one
 array-valued kernel over all records; its derivatives are written in density
 ratios f/pi, so a category probability near underflow never produces a NaN.
 
-Threshold ordering in the outcome model is kept by optimizing over
-(alpha_1, log of successive gaps) and mapping standard errors back with the
-delta method, which leaves the optimizer unconstrained.
+Both models are fitted in their natural parameters, and standard errors are
+sqrt(diag(inv(-H))) at the optimum.  The outcome thresholds need no
+constraint: every level 1..J is observed, so a candidate whose thresholds are
+not strictly increasing gives some record a probability <= 0, its
+log-likelihood is -inf, and the line search rejects it.  The log-likelihood is
+concave in (alpha, beta) (Pratt 1981), so plain Newton steps are well behaved.
 """
 
 from __future__ import annotations
@@ -187,7 +190,9 @@ def fit_outcome(data: Dataset) -> FitResult:
     Every level 1..J must be observed: empty categories abort with a clear
     error rather than being merged, since merging would change the estimand.
     Slopes start at zero and thresholds at the empirical marginal cumulative
-    logits of Y.
+    logits of Y.  The thresholds are fitted unconstrained: the likelihood's
+    domain and the line search hold their order (a candidate out of order
+    has log-likelihood -inf, and the line search rejects it).
     """
     return _returned(_fit_outcomes(_Stack.one(data))[0])
 
@@ -221,18 +226,11 @@ def _fit_mediators(stack: _Stack):
     ]
     Z = _mediator_design(stack)
     live = _full_rank(Z, results, "mediator design matrix (1, x, c)")
-    if not live:
-        return results
-    rows = _rows(live, len(results))
-    theta, hess, outcomes = _newton_maximize(
-        _bernoulli_parts, np.zeros((len(live), Z.shape[2])), (Z[rows], stack.m[rows].astype(float)),
-        "mediator model",
-    )
-    done = _converged(results, live, outcomes)
-    if done:
-        se = _delta_method_errors(None, -hess[done])
-        for i, t, errors in zip(done, theta[done], se):
-            results[live[i]] = _fit_result(MediatorModel(t[0], t[1], tuple(t[2:])), outcomes[i], errors)
+    if live:
+        _fit_live(
+            results, live, _bernoulli_parts, np.zeros((len(live), Z.shape[2])), (Z, stack.m.astype(float)),
+            "mediator model", lambda t: MediatorModel(t[0], t[1], tuple(t[2:])),
+        )
     return results
 
 
@@ -256,35 +254,14 @@ def _fit_outcomes(stack: _Stack):
     live = _full_rank(
         np.concatenate([np.ones((S, n, 1)), W], axis=2), results, "outcome design matrix (1, x, m, x*m, c)"
     )
-    if not live:
-        return results
-    cum = np.cumsum(counts[live], axis=1)[:, :-1] / n
-    alpha0 = np.log(cum / (1.0 - cum))
-    slopes0 = np.zeros((len(live), W.shape[2]))
-    if K == 1:
-        phi0 = np.concatenate([alpha0, slopes0], axis=1)
-    else:
-        phi0 = np.concatenate([alpha0[:, :1], np.log(np.diff(alpha0, axis=1)), slopes0], axis=1)
-
-    rows = _rows(live, S)
-    phi, hess, outcomes = _newton_maximize(
-        lambda phi, W, y: _outcome_parts_phi(phi, K, W, y, J), phi0, (W[rows], stack.y[rows]), "outcome model"
-    )
-    done = _converged(results, live, outcomes)
-    if done:
-        phi = phi[done]
-        alpha = _alpha_from_phi(phi, K)
-        se = _delta_method_errors(_phi_jacobian(phi, K), -hess[done])
-        ordered = (~(np.diff(alpha, axis=1) <= 0.0).any(axis=1)).tolist()
-        for i, a, beta, errors, ok in zip(done, alpha, phi[:, K:], se, ordered):
-            if not ok:
-                results[live[i]] = ConvergenceError(
-                    "threshold ordering degenerate at the optimum (a gap underflowed to zero); "
-                    "the data cannot separate adjacent outcome levels"
-                )
-            else:
-                model = OutcomeModel(tuple(a), beta[0], beta[1], beta[2], tuple(beta[3:]))
-                results[live[i]] = _fit_result(model, outcomes[i], errors)
+    if live:
+        cum = np.cumsum(counts[live], axis=1)[:, :-1] / n
+        theta0 = np.concatenate([np.log(cum / (1.0 - cum)), np.zeros((len(live), W.shape[2]))], axis=1)
+        _fit_live(
+            results, live, lambda theta, W, y: _proportional_odds_parts(theta[:, :K], theta[:, K:], W, y, J),
+            theta0, (W, stack.y), "outcome model",
+            lambda t: OutcomeModel(tuple(t[:K]), t[K], t[K + 1], t[K + 2], tuple(t[K + 3:])),
+        )
     return results
 
 
@@ -297,27 +274,22 @@ def _full_rank(designs, results, what):
     return [s for s, r in enumerate(results) if r is None]
 
 
-def _rows(live, S):
-    # index of the live problems' rows: a view when every problem is live
-    return slice(None) if len(live) == S else live
-
-
-def _converged(results, live, outcomes):
-    """Store the engine's errors of the live problems; return the positions,
-    among the live problems, of those that converged."""
+def _fit_live(results, live, parts, theta0, args, what, model_of):
+    """Run the Newton engine on the problems ``live`` of a stack, starting
+    from the rows of theta0, and store in ``results`` each one's error or its
+    FitResult, with ``model_of(theta)`` as the model."""
+    rows = slice(None) if len(live) == len(results) else live  # a view when every problem is live
+    theta, hess, outcomes = _newton_maximize(parts, theta0, tuple(a[rows] for a in args), what)
     done = []
-    for i, (s, outcome) in enumerate(zip(live, outcomes)):
+    for i, outcome in enumerate(outcomes):
         if isinstance(outcome, Exception):
-            results[s] = outcome
+            results[live[i]] = outcome
         else:
             done.append(i)
-    return done
-
-
-def _fit_result(model, outcome, standard_errors):
-    ll, gnorm, (iterations, evaluations, halvings, fallback_steps) = outcome
-    return FitResult(model, ll, gnorm, iterations, tuple(standard_errors), evaluations, halvings,
-                     fallback_steps)
+    for i, errors in zip(done, _standard_errors(-hess[done])):
+        ll, gnorm, (iterations, evaluations, halvings, fallback_steps) = outcomes[i]
+        results[live[i]] = FitResult(model_of(theta[i]), ll, gnorm, iterations, tuple(errors),
+                                     evaluations, halvings, fallback_steps)
 
 
 # ----------------------------------------------------------------------
@@ -378,12 +350,7 @@ def _proportional_odds_parts(alpha, beta, W, y, J):
     del eta, zh, zl  # the stacked temporaries set the memory peak
     ok = ~(pi <= 0.0).any(axis=1)
     if not ok.all():
-        ll = np.full(S, -np.inf)
-        grad = np.zeros((S, K + q))
-        hess = np.zeros((S, K + q, K + q))
-        if ok.any():
-            ll[ok], grad[ok], hess[ok], _ = _proportional_odds_parts(alpha[ok], beta[ok], W[ok], y[ok], J)
-        return ll, grad, hess, ok
+        pi[~ok] = 1.0  # keeps the rejected problems' arithmetic finite; their results are overwritten
     ll = np.log(pi).sum(axis=1)
 
     # Densities fa = f(zh), fb = f(zl) of the logistic cdf F (f = F(1-F)),
@@ -428,44 +395,11 @@ def _proportional_odds_parts(alpha, beta, W, y, J):
     del cross, at_hi
     hess[:, K:, :K] = hess[:, :K, K:].mT
     hess[:, K:, K:] = -(W.mT @ ((fa + fb)[:, :, None] * W))
+    if not ok.all():
+        ll[~ok] = -np.inf
+        grad[~ok] = 0.0
+        hess[~ok] = 0.0
     return ll, grad, hess, ok
-
-
-# ----------------------------------------------------------------------
-# unconstrained threshold parameterization
-#
-# phi = (alpha_1, log(alpha_2 - alpha_1), ..., log(alpha_{K} - alpha_{K-1}),
-#        betaX, betaM, betaXM, betaC...), one row per problem
-
-def _alpha_from_phi(phi, K):
-    alpha = phi[:, :K].copy()
-    alpha[:, 1:] = phi[:, :1] + np.exp(phi[:, 1:K]).cumsum(axis=1)
-    return alpha
-
-
-def _phi_jacobian(phi, K):
-    # d(alpha, beta) / d(phi): alpha_i = phi_0 + sum_{1 <= j <= i} exp(phi_j),
-    # so the threshold block is lower-triangular with column j scaled by
-    # exp(phi_j) (by 1 for j = 0).
-    S, d = phi.shape
-    row = np.arange(d)[:, None]
-    pattern = (row == row.T) | ((row >= row.T) & (row < K))
-    scale = np.ones((S, 1, d))
-    scale[:, 0, 1:K] = np.exp(phi[:, 1:K])
-    return pattern * scale
-
-
-def _outcome_parts_phi(phi, K, W, y, J):
-    alpha = _alpha_from_phi(phi, K)
-    ll, grad, hess, ok = _proportional_odds_parts(alpha, phi[:, K:], W, y, J)
-    jac = _phi_jacobian(phi, K)
-    grad_phi = (jac.mT @ grad[:, :, None])[:, :, 0]
-    hess_phi = jac.mT @ hess @ jac
-    # curvature of alpha in the gap parameters: d2 alpha_i / d phi_j^2 =
-    # exp(phi_j) for 1 <= j <= i, weighted by the scores of alpha_j..alpha_K
-    gaps = np.arange(1, K)
-    hess_phi[:, gaps, gaps] += jac[:, K - 1, 1:K] * grad[:, K - 1:0:-1].cumsum(axis=1)[:, ::-1]
-    return ll, grad_phi, hess_phi, ok
 
 
 # ----------------------------------------------------------------------
@@ -596,29 +530,22 @@ def _ascent_directions(grad, hess):
 
 
 def _solved_or_nan(a, b):
+    # a^-1 b, or NaN where a is singular; a 2-D b = eye gives the inverse
     try:
-        return np.linalg.solve(a, b[:, None])[:, 0]
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         return np.full(b.shape, np.nan)
 
 
-def _delta_method_errors(jac, information_phi):
-    """Standard errors of f(phi) from the observed information in phi of a
-    stack (S, d, d), with ``jac`` = d f / d phi (None: f is the identity); a
-    row is NaN when its information is not positive definite."""
+def _standard_errors(information):
+    """sqrt(diag(inv(information))) of a stack (S, d, d) of observed
+    information matrices; a row is NaN when its information is not positive
+    definite."""
     try:
-        cov = np.linalg.inv(information_phi)
+        cov = np.linalg.inv(information)
     except np.linalg.LinAlgError:
-        cov = np.stack([_inverse_or_nan(a) for a in information_phi])
-    if jac is not None:
-        cov = jac @ cov @ jac.mT
+        eye = np.eye(information.shape[1])
+        cov = np.stack([_solved_or_nan(a, eye) for a in information])
     diag = cov.diagonal(axis1=1, axis2=2)
     positive = ((diag > 0.0) & (diag < np.inf)).all(axis=1)
     return np.sqrt(np.where(positive[:, None], diag, np.nan))
-
-
-def _inverse_or_nan(a):
-    try:
-        return np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        return np.full(a.shape, np.nan)

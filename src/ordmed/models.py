@@ -25,6 +25,8 @@ def _finite_scalar(value, name):
 
 
 def _finite_tuple(values, name):
+    if isinstance(values, (str, bytes)):  # iterable, but not a sequence of reals
+        raise ModelSpecError(f"{name} must be a sequence of reals, got {values!r}")
     try:
         out = tuple(float(v) for v in values)
     except (TypeError, ValueError) as exc:

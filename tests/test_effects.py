@@ -101,6 +101,8 @@ class TestEffectQuery:
         (3.5, math.inf, ()),
         (3.5, 2.0, (1.0, -math.inf)),
         (3.5, 2.0, ("one",)),
+        (3.5, 2.0, "12"),
+        (3.5, 2.0, b"12"),
     ])
     def test_invalid_query_is_a_model_spec_error(self, x, xstar, c):
         # the same error class, and the same checks, as model construction

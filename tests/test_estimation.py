@@ -347,6 +347,38 @@ class TestKernel:
         assert np.all(np.isfinite(grad))
         assert np.all(np.isfinite(hess))
 
+    def test_thresholds_out_of_order_reject_exactly_their_problems(self, rng):
+        # with every level observed, swapping or tying two adjacent
+        # thresholds gives the records of the level between them a
+        # probability <= 0: that problem, and only that problem, gets
+        # ok = False and ll = -inf, which is what keeps an unconstrained fit
+        # of the thresholds ordered
+        for J in (3, 4, 5, 6):
+            S, n = 12, 40
+            cases = [_kernel_case(rng, J, n, p=1) for _ in range(S)]
+            alpha, beta, W, y = (np.stack(arrays) for arrays in zip(*cases))
+            y[:, :J] = np.arange(1, J + 1)
+            ll, grad, hess, ok = _proportional_odds_parts(alpha, beta, W, y, J)
+            assert ok.all() and np.isfinite(ll).all()
+
+            broken = np.zeros(S, dtype=bool)
+            broken[rng.choice(S, 5, replace=False)] = True
+            bad = alpha.copy()
+            for s in np.flatnonzero(broken):
+                j = int(rng.integers(0, J - 2))
+                if s % 2:
+                    bad[s, [j, j + 1]] = bad[s, [j + 1, j]]
+                else:
+                    bad[s, j + 1] = bad[s, j]
+            ll2, grad2, hess2, ok2 = _proportional_odds_parts(bad, beta, W, y, J)
+            assert np.array_equal(ok2, ~broken)
+            assert np.all(ll2[broken] == -np.inf)
+            assert not grad2[broken].any() and not hess2[broken].any()
+            kept = ~broken
+            assert ll2[kept].tobytes() == ll[kept].tobytes()
+            assert grad2[kept].tobytes() == grad[kept].tobytes()
+            assert hess2[kept].tobytes() == hess[kept].tobytes()
+
     def test_hessian_matches_central_differences_of_gradient(self, rng):
         step = 1e-6
         for J, p in ((2, 0), (3, 0), (5, 1)):
@@ -607,6 +639,38 @@ class TestFitOutcome:
         mean = float(np.mean(estimates))
         assert mean >= 1.1
         assert mean == pytest.approx(1.1, abs=0.05)
+
+    @pytest.mark.parametrize("which", ["j3", "sparse-j5-covariate"])
+    def test_standard_errors_match_finite_difference_information(self, which):
+        # J >= 3: standard errors equal sqrt(diag(inv(-H))) with H the
+        # step-1e-6 central difference of the score in (alpha, beta) at the
+        # fitted model
+        if which == "j3":
+            data = _sim(500, seed=1)
+        else:
+            data = simulate_dataset(SimulationDesign(
+                n=300, mean_x=3.0, sd_x=1.3,
+                mediator=MediatorModel(SPARSE_MEDIATOR.gamma0, SPARSE_MEDIATOR.gammaX, (0.4,)),
+                outcome=OutcomeModel(SPARSE_OUTCOME.alpha, SPARSE_OUTCOME.betaX, SPARSE_OUTCOME.betaM,
+                                     SPARSE_OUTCOME.betaXM, (-0.6,)),
+                seed=4242, cov_means=(0.0,), cov_sds=(1.0,),
+            ))
+        fit = fit_outcome(data)
+        J = data.J
+        model = fit.model
+        theta = np.array([*model.alpha, model.betaX, model.betaM, model.betaXM, *model.betaC])
+        step = 1e-6
+        hess = np.empty((theta.size, theta.size))
+        for i in range(theta.size):
+            bump = np.zeros(theta.size)
+            bump[i] = step
+            hess[:, i] = (
+                outcome_loglik_gradient(_outcome_model(theta + bump, J), data)
+                - outcome_loglik_gradient(_outcome_model(theta - bump, J), data)
+            ) / (2 * step)
+        expected = np.sqrt(np.diag(np.linalg.inv(-hess)))
+        assert len(fit.standard_errors) == theta.size
+        assert np.asarray(fit.standard_errors) == pytest.approx(expected, rel=1e-5)
 
     def test_threshold_ordering_strict_at_optimum(self):
         for seed in (5, 6, 7, 8):

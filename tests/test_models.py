@@ -135,6 +135,16 @@ class TestModelConstruction:
         with pytest.raises(ModelSpecError):
             OutcomeModel((0.0,), bad, 0.0, 0.0)
 
+    @pytest.mark.parametrize("text", ["123", b"123"])
+    def test_strings_are_not_read_character_by_character(self, text):
+        # a string is iterable, but "123" is no J=4 threshold vector
+        with pytest.raises(ModelSpecError):
+            MediatorModel(0.0, 0.0, text)
+        with pytest.raises(ModelSpecError):
+            OutcomeModel(text, 0.0, 0.0, 0.0)
+        with pytest.raises(ModelSpecError):
+            OutcomeModel((0.0,), 0.0, 0.0, 0.0, text)
+
     def test_levels_property(self):
         assert J3_OUTCOME.J == 3
         assert OutcomeModel((0.0,), 0, 0, 0).J == 2
