@@ -14,7 +14,8 @@ starts with a ``# key: value`` metadata block (tool version, full command
 line, seed) sufficient to reproduce the run; readers here skip ``#`` lines.
 
 Exit codes: 0 success, 1 validation error, 2 convergence failure,
-3 bootstrap unreliable (more than half the resamples failed).
+3 bootstrap unreliable (more than half the resamples failed), 4 internal
+consistency check failed (a bug in ordmed, not a problem with the input).
 """
 
 from __future__ import annotations
@@ -30,15 +31,16 @@ from pathlib import Path
 from . import __version__
 from .effects import EffectQuery, EffectTable, effect_labels, effect_table
 from .estimation import FitResult, fit_mediator, fit_outcome, parameter_labels
-from .exceptions import ConvergenceError, MediationError
+from .exceptions import ConsistencyError, ConvergenceError, MediationError
 from .inference import bootstrap_effects
-from .models import MediatorModel, OutcomeModel, validate_dataset
+from .models import MediatorModel, OutcomeModel, _parameters, validate_dataset
 from .simulation import RNG_INFO, SimulationDesign, monte_carlo_study, simulate_dataset
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONVERGENCE = 2
 EXIT_UNRELIABLE = 3
+EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
@@ -66,6 +68,9 @@ def main(argv=None):
     except ConvergenceError as exc:  # SeparationError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
+    except ConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (CliError, MediationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -306,13 +311,8 @@ def _effect_entries(table: EffectTable):
 
 def _fit_payload(result: FitResult):
     labels = parameter_labels(result.model)
-    if isinstance(result.model, MediatorModel):
-        estimates = (result.model.gamma0, result.model.gammaX, *result.model.gammaC)
-    else:
-        m = result.model
-        estimates = (*m.alpha, m.betaX, m.betaM, m.betaXM, *m.betaC)
     return {
-        "parameters": {k: float(v) for k, v in zip(labels, estimates)},
+        "parameters": dict(zip(labels, _parameters(result.model).tolist())),
         "standard_errors": {k: _none_if_nan(v) for k, v in zip(labels, result.standard_errors)},
         "loglik": result.loglik,
         "iterations": result.iterations,

@@ -14,6 +14,11 @@ ratios are a presentation concern handled by the CLI.
 The interchanged decomposition (baseline and active exposure swapping roles
 inside the mediator) is the same computation with ``x`` and ``xstar`` swapped
 in the query; it is deliberately not a separate code path.
+
+The closed forms are evaluated for a stack of model pairs at once, given as
+rows of natural parameters: the bootstrap and the Monte Carlo study pass the
+rows of each stack of fits straight in, and ``effect_table`` is a stack of
+one, so every row is bitwise the table of its own pair.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .models import (
     _covariate_vector,
     _finite_scalar,
     _finite_tuple,
-    _mediator_eta,
+    _parameters,
     category_probabilities,
     cumulative_probability,
     mediator_probability,
@@ -102,10 +107,11 @@ def _check_pair(mediator: MediatorModel, outcome: OutcomeModel, c):
     return _covariate_vector(c, outcome.p, "effect evaluation")
 
 
-def _mixture_terms(x, xstar, c, mediator: MediatorModel, outcome: OutcomeModel):
-    """Every per-level term of the closed forms at the exposure pair
-    (x, xstar) and the validated covariate vector ``c``, as arrays over
-    j = 1..J-1, keyed ``g0``, ``g1``, ``log_rr`` and ``logit``.
+def _mixture_terms(x, xstar, c, mediator_theta, outcome_theta):
+    """Every per-level term of the closed forms at E exposure pairs
+    (x[e], xstar[e]) and the covariate vector ``c``, for S model pairs given
+    by their natural parameter rows, as (E, S, J-1) arrays keyed ``g0``,
+    ``g1``, ``log_rr`` and ``logit``.
 
     g_d_j is the log odds of M=1 given the event I(Y<=j)=d, mixing the
     outcome part at exposure ``x`` with the mediator part at ``xstar``:
@@ -118,15 +124,23 @@ def _mixture_terms(x, xstar, c, mediator: MediatorModel, outcome: OutcomeModel):
     log_rr_j = log[(1+exp g_0_j) / (1+exp g_1_j)] is the log relative risk of
     M=0 across I(Y<=j), and logit_j = a_j - betaX*x - betaC.c - log_rr_j is
     logit P(Y(x, M(xstar)) <= j | c).  At xstar = x every term is the
-    one-exposure form, by the same arithmetic.
+    one-exposure form, by the same arithmetic.  Every operation is
+    elementwise or a 1-d dot product per pair, so no entry depends on the
+    rest of the stack.
     """
-    x = float(x)
-    base = np.asarray(outcome.alpha) - outcome.betaX * x - float(c @ np.asarray(outcome.betaC, dtype=float))
-    shift = outcome.betaM + outcome.betaXM * x
+    (gamma0, gammaX), gammaC = mediator_theta[:, :2].T, mediator_theta[:, 2:]
+    K = outcome_theta.shape[1] - mediator_theta.shape[1] - 1
+    alpha, (betaX, betaM, betaXM) = outcome_theta[:, :K], outcome_theta[:, K:K + 3].T
+    betaC = outcome_theta[:, K + 3:]
+    x = np.asarray(x, dtype=float)[:, None]
+    base = alpha - (betaX * x)[..., None] - np.vecdot(betaC, c)[:, None]
+    shift = (betaM + betaXM * x)[..., None]
     log_ratio = log1pexp(base) - log1pexp(base - shift)
-    mediator_eta = _mediator_eta(mediator, float(xstar), c)
-    g0 = log_ratio + mediator_eta
-    g1 = -shift + log_ratio + mediator_eta
+    mediator_eta = gamma0 + gammaX * np.asarray(xstar, dtype=float)[:, None]
+    if c.size:
+        mediator_eta = mediator_eta + np.vecdot(gammaC, c)
+    g0 = log_ratio + mediator_eta[..., None]
+    g1 = -shift + log_ratio + mediator_eta[..., None]
     log_rr = log1pexp(g0) - log1pexp(g1)
     return {"g0": g0, "g1": g1, "log_rr": log_rr, "logit": base - log_rr}
 
@@ -135,7 +149,8 @@ def _term_at(key, j, x, xstar, c, mediator, outcome):
     # validated lookup of one _mixture_terms entry at level j
     c = _check_pair(mediator, outcome, c)
     j = _check_level(j, outcome.J)
-    return float(_mixture_terms(x, xstar, c, mediator, outcome)[key][j - 1])
+    terms = _mixture_terms([x], [xstar], c, _parameters(mediator)[None], _parameters(outcome)[None])
+    return float(terms[key][0, 0, j - 1])
 
 
 def g_cross(d, j, x, xstar, c, mediator: MediatorModel, outcome: OutcomeModel):
@@ -210,8 +225,11 @@ def log_cde(m, query: EffectQuery, outcome: OutcomeModel):
     """log controlled direct effect with the mediator held at m:
     (betaX + betaXM*m)(x - xstar).  Constant in j under proportional odds,
     hence no per-level variant."""
-    m = _check_mediator_value(m)
-    return (outcome.betaX + outcome.betaXM * m) * (query.x - query.xstar)
+    return _log_cde(outcome.betaX, outcome.betaXM, _check_mediator_value(m), query)
+
+
+def _log_cde(betaX, betaXM, m, query: EffectQuery):
+    return (betaX + betaXM * m) * (query.x - query.xstar)
 
 
 def log_nde(j, query: EffectQuery, mediator: MediatorModel, outcome: OutcomeModel):
@@ -234,22 +252,35 @@ def effect_table(query: EffectQuery, mediator: MediatorModel, outcome: OutcomeMo
     """All per-level effects plus both controlled direct effects, with the
     multiplicative decomposition TCE = NDE * NIE verified on the log scale
     before returning.  Every per-level effect is a difference of the log RR
-    corrections at the exposure pairs (x, x), (x, xstar) and (xstar, xstar)."""
-    c = _check_pair(mediator, outcome, query.c)
+    corrections at the exposure pairs (x, x), (x, xstar) and (xstar, xstar).
+    A stack of one of :func:`_effect_rows`."""
+    _check_pair(mediator, outcome, query.c)
+    K = outcome.J - 1
+    row = _effect_rows(query, _parameters(mediator)[None], _parameters(outcome)[None])[0].tolist()
+    return EffectTable(tuple(row[2 * K:3 * K]), tuple(row[:K]), tuple(row[K:2 * K]), tuple(row[3 * K:]), query)
+
+
+def _effect_rows(query: EffectQuery, mediator_theta, outcome_theta):
+    """``effect_table(query, ...).flatten()`` of S model pairs given by their
+    natural parameter rows, (S, 2 + p) and (S, K + 3 + p): an (S, 3K + 2)
+    array in :func:`effect_labels` order.  ``query.c`` must have p entries.
+    Raises :class:`ConsistencyError` for the first pair whose decomposition
+    fails, naming the level."""
     x, xs = query.x, query.xstar
-    rr_xx = _mixture_terms(x, x, c, mediator, outcome)["log_rr"]
-    rr_xs = _mixture_terms(x, xs, c, mediator, outcome)["log_rr"]
-    rr_ss = _mixture_terms(xs, xs, c, mediator, outcome)["log_rr"]
-    direct = outcome.betaX * (x - xs)
+    terms = _mixture_terms((x, x, xs), (x, xs, xs), np.array(query.c, dtype=float), mediator_theta, outcome_theta)
+    rr_xx, rr_xs, rr_ss = terms["log_rr"]
+    K = outcome_theta.shape[1] - mediator_theta.shape[1] - 1
+    betaX, _, betaXM = outcome_theta[:, K:K + 3].T
+    direct = (betaX * (x - xs))[:, None]
     tce = direct + rr_xx - rr_ss
     nde = direct + rr_xs - rr_ss
     nie = rr_xx - rr_xs
-    broken = np.flatnonzero(np.abs(tce - (nde + nie)) > _DECOMPOSITION_TOL)
+    broken = np.argwhere(np.abs(tce - (nde + nie)) > _DECOMPOSITION_TOL)
     if broken.size:
-        k = broken[0]
+        s, k = broken[0]
         raise ConsistencyError(
             f"log TCE != log NDE + log NIE at level {k + 1}: "
-            f"{float(tce[k])!r} vs {float(nde[k] + nie[k])!r}"
+            f"{float(tce[s, k])!r} vs {float(nde[s, k] + nie[s, k])!r}"
         )
-    cde = (log_cde(1, query, outcome), log_cde(0, query, outcome))
-    return EffectTable(tuple(tce.tolist()), tuple(nde.tolist()), tuple(nie.tolist()), cde, query)
+    cde = _log_cde(betaX[:, None], betaXM[:, None], np.array([1, 0]), query)
+    return np.concatenate([nde, nie, tce, cde], axis=1)

@@ -18,8 +18,9 @@ arithmetic, reductions over the last axis, stacked matrix products and
 solves, and ``bincount`` over per-problem offset indices), so a problem's
 trajectory and result are bitwise the same in a stack of any size.  A single
 fit is a stack of one; the bootstrap and the Monte Carlo study fit their
-resamples and replicates in stacks of 16.  Failures are recorded
-per problem and never stop the rest of the stack.
+resamples and replicates in stacks of 16 and take the parameter rows, so only
+a single fit builds a FitResult.  Failures are recorded per problem and never
+stop the rest of the stack.
 
 The proportional-odds log-likelihood, score and Hessian come from one
 array-valued kernel over all records; its derivatives are written in density
@@ -48,8 +49,9 @@ from .models import (
     OutcomeModel,
     _category_probs,
     _mediator_eta,
+    _parameters,
 )
-from .numerics import expit, expit_pair, log1pexp
+from .numerics import expit_pair, log1pexp, log1pexp_expit
 
 GRADIENT_TOL = 1e-8
 _LOGLIK_RTOL = 1e-12
@@ -114,12 +116,8 @@ class _Stack(NamedTuple):
 
     @classmethod
     def of(cls, datasets):
-        return cls(*(np.stack([getattr(d, f) for d in datasets]) for f in ("x", "m", "y", "covariates")),
+        return cls(*(np.array([getattr(d, f) for d in datasets]) for f in ("x", "m", "y", "covariates")),
                    datasets[0].J)
-
-    @classmethod
-    def one(cls, data: Dataset):
-        return cls(data.x[None], data.m[None], data.y[None], data.covariates[None], data.J)
 
     def take(self, rows):
         return _Stack(self.x[rows], self.m[rows], self.y[rows], self.covariates[rows], self.J)
@@ -155,8 +153,8 @@ def loglik_outcome(model: OutcomeModel, data: Dataset):
 def mediator_loglik_gradient(model: MediatorModel, data: Dataset):
     """Score of loglik_mediator with respect to (gamma0, gammaX, gammaC...)."""
     _check_dims(model, data)
-    theta = np.concatenate([[model.gamma0, model.gammaX], model.gammaC])
-    _, grad, _, _ = _bernoulli_parts(theta[None], _mediator_design(data)[None], data.m[None].astype(float))
+    _, grad, _, _ = _bernoulli_parts(_parameters(model)[None], _mediator_design(data)[None],
+                                     data.m[None].astype(float))
     return grad[0]
 
 
@@ -164,10 +162,10 @@ def outcome_loglik_gradient(model: OutcomeModel, data: Dataset):
     """Score of loglik_outcome with respect to (alpha..., betaX, betaM,
     betaXM, betaC...)."""
     _check_dims(model, data)
-    alpha = np.asarray(model.alpha, dtype=float)
-    beta = np.concatenate([[model.betaX, model.betaM, model.betaXM], model.betaC])
+    theta = _parameters(model)[None]
+    K = model.J - 1
     _, grad, _, ok = _proportional_odds_parts(
-        alpha[None], beta[None], _outcome_design(data)[None], data.y[None], data.J
+        theta[:, :K], theta[:, K:], _outcome_design(data)[None], data.y[None], data.J
     )
     if not ok[0]:
         raise ValueError("gradient undefined: some record has probability zero")
@@ -181,7 +179,7 @@ def fit_mediator(data: Dataset) -> FitResult:
     Complete separation is reported as :class:`SeparationError` when the
     parameter norm passes 1e3 while the likelihood is still improving.
     """
-    return _returned(_fit_mediators(_Stack.one(data))[0])
+    return _returned(_fit_mediators(_Stack.of([data]))[0])
 
 
 def fit_outcome(data: Dataset) -> FitResult:
@@ -194,7 +192,7 @@ def fit_outcome(data: Dataset) -> FitResult:
     domain and the line search hold their order (a candidate out of order
     has log-likelihood -inf, and the line search rejects it).
     """
-    return _returned(_fit_outcomes(_Stack.one(data))[0])
+    return _returned(_fit_outcomes(_Stack.of([data]))[0])
 
 
 def _returned(result):
@@ -204,92 +202,104 @@ def _returned(result):
 
 
 def _fit_pairs(stack: _Stack):
-    """Fit both regressions to every dataset of a stack.  Returns one entry
-    per dataset: the (mediator, outcome) fits, or the error that
-    ``fit_mediator`` and then ``fit_outcome`` raise on it."""
-    results = _fit_mediators(stack)
-    fitted = [s for s, r in enumerate(results) if isinstance(r, FitResult)]
-    if fitted:
-        outcomes = _fit_outcomes(stack if len(fitted) == len(results) else stack.take(fitted))
-        for s, outcome in zip(fitted, outcomes):
-            results[s] = outcome if isinstance(outcome, Exception) else (results[s], outcome)
-    return results
+    """Fit both regressions to every dataset of a stack.  Returns the
+    parameter rows of the mediator fits and of the outcome fits of the
+    datasets that both fits succeed on, in stack order, and per dataset None
+    or the error that ``fit_mediator`` and then ``fit_outcome`` raise on it."""
+    errors, ok, gamma, _, _ = _solve_mediators(stack)
+    outcome_errors, fitted, beta, _, _ = _solve_outcomes(stack if len(ok) == len(errors) else stack.take(ok))
+    for s, error in zip(ok, outcome_errors):
+        errors[s] = error
+    return gamma[fitted], beta, errors
 
 
 def _fit_mediators(stack: _Stack):
     """fit_mediator on each dataset of a stack: per dataset, a FitResult or
     the error."""
-    both = ((stack.m == 0).any(axis=1) & (stack.m == 1).any(axis=1)).tolist()
-    results = [
-        None if ok else DegenerateDataError("mediator takes a single value; need both M=0 and M=1 to fit")
-        for ok in both
-    ]
-    Z = _mediator_design(stack)
-    live = _full_rank(Z, results, "mediator design matrix (1, x, c)")
-    if live:
-        _fit_live(
-            results, live, _bernoulli_parts, np.zeros((len(live), Z.shape[2])), (Z, stack.m.astype(float)),
-            "mediator model", lambda t: MediatorModel(t[0], t[1], tuple(t[2:])),
-        )
-    return results
+    return _fit_results(*_solve_mediators(stack), lambda t: MediatorModel(t[0], t[1], tuple(t[2:])))
 
 
 def _fit_outcomes(stack: _Stack):
     """fit_outcome on each dataset of a stack: per dataset, a FitResult or
     the error."""
+    K = stack.J - 1
+    return _fit_results(
+        *_solve_outcomes(stack), lambda t: OutcomeModel(tuple(t[:K]), t[K], t[K + 1], t[K + 2], tuple(t[K + 3:]))
+    )
+
+
+def _fit_results(errors, ok, theta, hess, stats, model_of):
+    # the FitResult of each problem ``ok`` of a _solve, with model_of(theta)
+    # as its model, in place of its None in ``errors``
+    for s, row, ses, (ll, gnorm, (iterations, evaluations, halvings, fallback_steps)) in zip(
+        ok, theta, _standard_errors(-hess), stats
+    ):
+        errors[s] = FitResult(model_of(row), ll, gnorm, iterations, tuple(ses), evaluations, halvings, fallback_steps)
+    return errors
+
+
+def _solve_mediators(stack: _Stack):
+    both = ((stack.m == 0).any(axis=1) & (stack.m == 1).any(axis=1)).tolist()
+    errors = [
+        None if ok else DegenerateDataError("mediator takes a single value; need both M=0 and M=1 to fit")
+        for ok in both
+    ]
+    Z = _mediator_design(stack)
+    live = _full_rank(Z, errors, "mediator design matrix (1, x, c)")
+    return _solve(errors, live, _bernoulli_parts, np.zeros((len(live), Z.shape[2])),
+                  (Z, stack.m.astype(float)), "mediator model")
+
+
+def _solve_outcomes(stack: _Stack):
     S, n = stack.y.shape
     J = stack.J
     K = J - 1
     counts = np.bincount(
         (stack.y + np.arange(0, S * (J + 1), J + 1)[:, None]).ravel(), minlength=S * (J + 1)
     ).reshape(S, J + 1)[:, 1:]
-    results = [None] * S
+    errors = [None] * S
     for s in np.flatnonzero((counts == 0).any(axis=1)):
         missing = np.flatnonzero(counts[s] == 0) + 1
-        results[s] = DegenerateDataError(
+        errors[s] = DegenerateDataError(
             f"outcome level(s) {', '.join(map(str, missing))} never observed; "
             f"every level 1..{J} must appear at least once"
         )
     W = _outcome_design(stack)
     live = _full_rank(
-        np.concatenate([np.ones((S, n, 1)), W], axis=2), results, "outcome design matrix (1, x, m, x*m, c)"
+        np.concatenate([np.ones((S, n, 1)), W], axis=2), errors, "outcome design matrix (1, x, m, x*m, c)"
     )
-    if live:
-        cum = np.cumsum(counts[live], axis=1)[:, :-1] / n
-        theta0 = np.concatenate([np.log(cum / (1.0 - cum)), np.zeros((len(live), W.shape[2]))], axis=1)
-        _fit_live(
-            results, live, lambda theta, W, y: _proportional_odds_parts(theta[:, :K], theta[:, K:], W, y, J),
-            theta0, (W, stack.y), "outcome model",
-            lambda t: OutcomeModel(tuple(t[:K]), t[K], t[K + 1], t[K + 2], tuple(t[K + 3:])),
-        )
-    return results
+    cum = np.cumsum(counts[live], axis=1)[:, :-1] / n
+    theta0 = np.concatenate([np.log(cum / (1.0 - cum)), np.zeros((len(live), W.shape[2]))], axis=1)
+    return _solve(errors, live, lambda theta, W, y: _proportional_odds_parts(theta[:, :K], theta[:, K:], W, y, J),
+                  theta0, (W, stack.y), "outcome model")
 
 
-def _full_rank(designs, results, what):
+def _full_rank(designs, errors, what):
     """Record a rank-deficiency error for every problem not yet failed whose
     design is rank-deficient; return the problems still without an error."""
     for s, rank in enumerate(np.linalg.matrix_rank(designs).tolist()):
-        if rank < designs.shape[2] and results[s] is None:
-            results[s] = DegenerateDataError(f"{what} is rank-deficient; parameters are not identifiable")
-    return [s for s, r in enumerate(results) if r is None]
+        if rank < designs.shape[2] and errors[s] is None:
+            errors[s] = DegenerateDataError(f"{what} is rank-deficient; parameters are not identifiable")
+    return [s for s, e in enumerate(errors) if e is None]
 
 
-def _fit_live(results, live, parts, theta0, args, what, model_of):
+def _solve(errors, live, parts, theta0, args, what):
     """Run the Newton engine on the problems ``live`` of a stack, starting
-    from the rows of theta0, and store in ``results`` each one's error or its
-    FitResult, with ``model_of(theta)`` as the model."""
-    rows = slice(None) if len(live) == len(results) else live  # a view when every problem is live
+    from the rows of theta0, and record the error of each one that fails in
+    ``errors``.  Returns ``errors``, the problems ``ok`` without an error (in
+    stack order), and their final parameter rows, Hessians and (loglik,
+    max |gradient|, counts)."""
+    if not live:
+        return errors, [], theta0, np.empty(theta0.shape + theta0.shape[1:]), []
+    rows = slice(None) if len(live) == len(errors) else live  # a view when every problem is live
     theta, hess, outcomes = _newton_maximize(parts, theta0, tuple(a[rows] for a in args), what)
     done = []
     for i, outcome in enumerate(outcomes):
         if isinstance(outcome, Exception):
-            results[live[i]] = outcome
+            errors[live[i]] = outcome
         else:
             done.append(i)
-    for i, errors in zip(done, _standard_errors(-hess[done])):
-        ll, gnorm, (iterations, evaluations, halvings, fallback_steps) = outcomes[i]
-        results[live[i]] = FitResult(model_of(theta[i]), ll, gnorm, iterations, tuple(errors),
-                                     evaluations, halvings, fallback_steps)
+    return errors, [live[i] for i in done], theta[done], hess[done], [outcomes[i] for i in done]
 
 
 # ----------------------------------------------------------------------
@@ -311,8 +321,8 @@ def _bernoulli_parts(theta, Z, m):
     # log-likelihood, score and Hessian of S logistic regressions:
     # theta (S, q), Z (S, n, q), m (S, n)
     eta = (Z @ theta[:, :, None])[:, :, 0]
-    ll = (m * eta - log1pexp(eta)).sum(axis=1)
-    prob = expit(eta)
+    log_norm, prob = log1pexp_expit(eta)
+    ll = (m * eta - log_norm).sum(axis=1)
     grad = (Z.mT @ (m - prob)[:, :, None])[:, :, 0]
     hess = -((Z * (prob * (1.0 - prob))[:, :, None]).mT @ Z)
     return ll, grad, hess, np.ones(ll.shape, dtype=bool)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effects import EffectQuery, EffectTable, effect_labels, effect_table
+from .effects import EffectQuery, EffectTable, _effect_rows, effect_labels, effect_table
 from .estimation import _STACK_SIZE, FitResult, _fit_pairs, _Stack, fit_mediator, fit_outcome
 from .exceptions import DegenerateDataError
 from .models import Dataset
@@ -90,9 +90,10 @@ def bootstrap_effects(data: Dataset, query: EffectQuery, B, level=0.95, *, seed)
     Resample b draws its row indices from the stream keyed (seed, b).
     Degenerate resamples (a missing outcome level or a single mediator value)
     and resamples whose fits fail are counted in ``failures`` and excluded,
-    never redrawn.  Resamples are drawn and fitted 16 at a time;
-    each one's fits are bitwise those of ``fit_mediator``/``fit_outcome`` on
-    it.
+    never redrawn.  Resamples are drawn, fitted and evaluated 16 at a time,
+    as arrays; each one's fits are bitwise those of
+    ``fit_mediator``/``fit_outcome`` on it, and its effects those of
+    ``effect_table`` on their models.
     """
     B = int(B)
     if B < 1:
@@ -112,16 +113,13 @@ def bootstrap_effects(data: Dataset, query: EffectQuery, B, level=0.95, *, seed)
             for b in range(start, min(start + _STACK_SIZE, B))
         ])
         resamples = _Stack(data.x[idx], data.m[idx], data.y[idx], data.covariates[idx], data.J)
-        for fits in _fit_pairs(resamples):
-            if isinstance(fits, Exception):
-                failures += 1
-            else:
-                rows.append(effect_table(query, fits[0].model, fits[1].model).flatten())
+        mediators, outcomes, errors = _fit_pairs(resamples)
+        rows.append(_effect_rows(query, mediators, outcomes))
+        failures += len(errors) - len(mediators)
 
-    if not rows:
+    estimates = np.concatenate(rows)
+    if not estimates.shape[0]:
         raise DegenerateDataError(f"all {B} bootstrap resamples failed; no interval can be formed")
-
-    estimates = np.vstack(rows)
     if estimates.shape[0] >= 2:
         boot_sd = estimates.std(axis=0, ddof=1)
     else:

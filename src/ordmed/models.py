@@ -119,6 +119,14 @@ class OutcomeModel:
         return float(_outcome_eta(self, *_outcome_query(self, x, m, c)))
 
 
+def _parameters(model):
+    """The natural parameter vector of a model: (gamma0, gammaX, gammaC...)
+    or (alpha_1..alpha_{J-1}, betaX, betaM, betaXM, betaC...)."""
+    if isinstance(model, MediatorModel):
+        return np.array([model.gamma0, model.gammaX, *model.gammaC])
+    return np.array([*model.alpha, model.betaX, model.betaM, model.betaXM, *model.betaC])
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Validated sample with J outcome levels and p covariates.

@@ -13,31 +13,45 @@ import numpy as np
 def expit(z):
     """Logistic function 1 / (1 + exp(-z)), computed branch-wise so that
     exp() is only ever evaluated at non-positive arguments."""
-    z, large, small = _expit_branches(z)
-    out = np.where(z >= 0.0, large, small)
+    z, ez = _exp_neg_abs(z)
+    out = np.where(z >= 0.0, *_expit_branches(ez))
     return float(out) if out.ndim == 0 else out
 
 
 def expit_pair(z):
     """(expit(z), expit(-z)) for an array z from one exponential; each equals
     the corresponding expit call exactly."""
-    z, large, small = _expit_branches(z)
+    z, ez = _exp_neg_abs(z)
+    large, small = _expit_branches(ez)
     return np.where(z >= 0.0, large, small), np.where(z <= 0.0, large, small)
-
-
-def _expit_branches(z):
-    # 1 / (1 + e) and e / (1 + e) with e = exp(-|z|): expit(z) for z >= 0
-    # and for z <= 0 respectively
-    z = np.asarray(z, dtype=float)
-    ez = np.exp(-np.abs(z))
-    return z, 1.0 / (1.0 + ez), ez / (1.0 + ez)
 
 
 def log1pexp(z):
     """log(1 + exp(z)) without overflow; equals z + log1p(exp(-z)) for z > 0."""
-    z = np.asarray(z, dtype=float)
-    out = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    out = _log1pexp(*_exp_neg_abs(z))
     return float(out) if out.ndim == 0 else out
+
+
+def log1pexp_expit(z):
+    """(log1pexp(z), expit(z)) for an array z from one exponential; each
+    equals the corresponding call exactly."""
+    z, ez = _exp_neg_abs(z)
+    return _log1pexp(z, ez), np.where(z >= 0.0, *_expit_branches(ez))
+
+
+def _exp_neg_abs(z):
+    # the one exponential of every map here: exp(-|z|) is never above 1
+    z = np.asarray(z, dtype=float)
+    return z, np.exp(-np.abs(z))
+
+
+def _expit_branches(ez):
+    # 1 / (1 + ez) and ez / (1 + ez): expit(z) for z >= 0 and for z <= 0
+    return 1.0 / (1.0 + ez), ez / (1.0 + ez)
+
+
+def _log1pexp(z, ez):
+    return np.maximum(z, 0.0) + np.log1p(ez)
 
 
 # Rational approximations from Wichura's PPND16 (algorithm AS 241): the normal

@@ -6,17 +6,20 @@ Replicate r's dataset therefore never changes when the replication count
 grows, and replicates may be evaluated in any order.  Normal variates are
 produced by inverse transform (AS 241 quantile applied to 53-bit uniforms);
 the method is recorded in RNG_INFO so output metadata can state it.
+
+Datasets are drawn in stacks: each draws its uniforms from its own streams,
+then every transform runs once on the stacked arrays.  The Monte Carlo study
+draws its replicates 16 at a time, and ``simulate_dataset`` is a stack of one.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .effects import EffectQuery, effect_labels, effect_table
+from .effects import EffectQuery, _effect_rows, effect_labels
 from .estimation import _STACK_SIZE, _fit_pairs, _Stack
 from .exceptions import DegenerateDataError, DimensionError, ModelSpecError
 from .models import Dataset, MediatorModel, OutcomeModel, _cumulative_probs, _mediator_eta
@@ -88,35 +91,42 @@ class SimulationDesign:
         return len(self.cov_means)
 
 
-def _open_uniform(rng, size):
-    # (k + 0.5) * 2^-53 for k uniform on [0, 2^53): strictly inside (0, 1),
-    # so the normal quantile never sees an endpoint.
-    return (rng.integers(0, 1 << 53, size=size).astype(np.float64) + 0.5) * 2.0**-53
-
-
-def _normal(rng, mean, sd, size):
-    return mean + sd * inverse_normal_cdf(_open_uniform(rng, size))
-
-
 def simulate_dataset(design: SimulationDesign) -> Dataset:
-    """Draw one dataset from the design; deterministic given design.seed."""
+    """Draw one dataset from the design; deterministic given design.seed.
+    A stack of one of :func:`_simulate_stack`."""
+    stack = _simulate_stack(design, [design.seed])
+    return Dataset(stack.x[0], stack.m[0], stack.y[0], stack.covariates[0], stack.J, design.p)
+
+
+def _simulate_stack(design: SimulationDesign, seeds) -> _Stack:
+    """One dataset of the design per seed, stacked.  Each dataset draws its
+    uniforms from its own keyed streams; every transform then runs once, and
+    elementwise, on the (S, n[, p]) arrays, so dataset s is bitwise the
+    dataset of seed ``seeds[s]`` drawn alone."""
     n, p = design.n, design.p
-    x = _normal(keyed_stream(design.seed, _SIM_DOMAIN, _ROLE_X), design.mean_x, design.sd_x, n)
+
+    def uniforms(role, draw):
+        return np.array([draw(keyed_stream(seed, _SIM_DOMAIN, role)) for seed in seeds])
+
+    def normals(role, shape):
+        # AS 241 quantiles of (k + 0.5) * 2^-53 for k uniform on [0, 2^53):
+        # strictly inside (0, 1), so the quantile never sees an endpoint
+        k = uniforms(role, lambda rng: rng.integers(0, 1 << 53, size=shape))
+        return inverse_normal_cdf((k.astype(np.float64) + 0.5) * 2.0**-53)
+
+    x = design.mean_x + design.sd_x * normals(_ROLE_X, n)
+    C = np.empty((len(seeds), n, 0))
     if p:
-        u = _open_uniform(keyed_stream(design.seed, _SIM_DOMAIN, _ROLE_COVARIATES), (n, p))
-        C = np.asarray(design.cov_means) + np.asarray(design.cov_sds) * inverse_normal_cdf(u)
-    else:
-        C = np.empty((n, 0))
+        C = np.asarray(design.cov_means) + np.asarray(design.cov_sds) * normals(_ROLE_COVARIATES, (n, p))
 
     p_m = expit(_mediator_eta(design.mediator, x, C))
-    m = (keyed_stream(design.seed, _SIM_DOMAIN, _ROLE_MEDIATOR).random(n) < p_m).astype(np.int64)
+    m = (uniforms(_ROLE_MEDIATOR, lambda rng: rng.random(n)) < p_m).astype(np.int64)
 
     # inverse-CDF draw on the same cumulative probabilities the model exposes
     cum = _cumulative_probs(design.outcome, x, m, C)
-    u_y = keyed_stream(design.seed, _SIM_DOMAIN, _ROLE_OUTCOME).random(n)
-    y = 1 + np.sum(u_y[:, None] >= cum, axis=1).astype(np.int64)
-
-    return Dataset(x, m, y, C, design.outcome.J, p)
+    u_y = uniforms(_ROLE_OUTCOME, lambda rng: rng.random(n))
+    y = 1 + np.sum(u_y[..., None] >= cum, axis=-1).astype(np.int64)
+    return _Stack(x, m, y, C, design.outcome.J)
 
 
 def replicate_seed(seed, r):
@@ -167,9 +177,10 @@ def monte_carlo_study(design: SimulationDesign, replications, query: EffectQuery
 
     Replicate r draws its data from the stream keyed (design.seed, r), so the
     collection is reproducible bitwise and prefix-stable in the replication
-    count.  Replicates are simulated and fitted 16 at a time;
-    each one's fits are bitwise those of ``fit_mediator``/``fit_outcome`` on
-    its dataset.
+    count.  Replicates are simulated, fitted and evaluated 16 at a time, as
+    arrays; each one's dataset is bitwise that of ``simulate_dataset``, its
+    fits those of ``fit_mediator``/``fit_outcome`` on it, and its effects
+    those of ``effect_table`` on their models.
     """
     replications = int(replications)
     if replications < 1:
@@ -182,24 +193,21 @@ def monte_carlo_study(design: SimulationDesign, replications, query: EffectQuery
     failed = []
     for start in range(0, replications, _STACK_SIZE):
         ids = range(start, min(start + _STACK_SIZE, replications))
-        stack = _Stack.of([
-            simulate_dataset(dataclasses.replace(design, seed=replicate_seed(design.seed, r))) for r in ids
-        ])
-        for r, fits in zip(ids, _fit_pairs(stack)):
-            if isinstance(fits, Exception):
-                failed.append(r)
-            else:
-                rows.append(effect_table(query, fits[0].model, fits[1].model).flatten())
-                ok_ids.append(r)
+        mediators, outcomes, errors = _fit_pairs(
+            _simulate_stack(design, [replicate_seed(design.seed, r) for r in ids])
+        )
+        rows.append(_effect_rows(query, mediators, outcomes))
+        for r, error in zip(ids, errors):
+            (ok_ids if error is None else failed).append(r)
 
-    if not rows:
+    if not ok_ids:
         raise DegenerateDataError(f"all {replications} replicates failed to fit")
     return MonteCarloSummary(
         design=design,
         query=query,
         replications=replications,
         labels=effect_labels(design.outcome.J),
-        estimates=np.vstack(rows),
+        estimates=np.concatenate(rows),
         replicate_ids=tuple(ok_ids),
         failed_replicates=tuple(failed),
     )

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from ordmed.cli import EXIT_CONVERGENCE, EXIT_OK, EXIT_UNRELIABLE, EXIT_VALIDATION, main
+import ordmed.effects
+from ordmed.cli import EXIT_CONVERGENCE, EXIT_INTERNAL, EXIT_OK, EXIT_UNRELIABLE, EXIT_VALIDATION, main
 
 from conftest import J3_TRUE_EFFECTS, J5_TRUE_EFFECTS
 
@@ -110,6 +111,25 @@ class TestEffectsCommand:
         code = main(["effects", "--params", str(DATA_DIR / "params_j3.json"),
                      "--x", "nan", "--xstar", "2", "--out", str(out)])
         assert code == EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_failed_consistency_check_exits_internal(self, tmp_path, monkeypatch, capsys):
+        # a core that inflates the log RR correction of the (x, xstar) pair
+        # at level 1 breaks log TCE = log NDE + log NIE there by rounding:
+        # a bug in ordmed, reported apart from every input problem
+        real = ordmed.effects._mixture_terms
+
+        def broken(*args):
+            terms = real(*args)
+            terms["log_rr"][1, :, 0] += 1e20
+            return terms
+
+        monkeypatch.setattr(ordmed.effects, "_mixture_terms", broken)
+        out = tmp_path / "effects.csv"
+        code = main(["effects", "--params", str(DATA_DIR / "params_j3.json"),
+                     "--x", "3.5", "--xstar", "2", "--out", str(out)])
+        assert code == EXIT_INTERNAL == 4
+        assert "log TCE != log NDE + log NIE at level 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_param_field_rejected(self, tmp_path):

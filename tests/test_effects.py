@@ -6,6 +6,7 @@ the same formulas (revalidated in test_frozen_constants_match_oracle);
 3-decimal table values are the published study references.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from ordmed import (
+    ConsistencyError,
     DimensionError,
     EffectQuery,
     MediatorModel,
@@ -34,6 +36,9 @@ from ordmed import (
     mediator_probability,
     plug_in_oracle,
 )
+from ordmed import effects
+from ordmed.effects import _effect_rows
+from ordmed.models import _parameters
 
 from conftest import (
     J3_MEDIATOR,
@@ -375,6 +380,61 @@ class TestEffectTable:
             assert abs(t - (d + i)) < 1e-10
         with pytest.raises(DimensionError):
             effect_table(EffectQuery(3.5, 2.0), med, out)
+
+
+def _stacked_cases(rng, total):
+    """Random stacks of 1-40 model pairs sharing J, p and a query, ``total``
+    pairs in all: a fifth of the queries are null contrasts, and a third of
+    the pairs each have gammaX = 0 or betaM = betaXM = 0."""
+    while total > 0:
+        J, p, S = int(rng.integers(2, 7)), int(rng.integers(3)), min(total, int(rng.integers(1, 41)))
+        x = rng.uniform(-3, 3)
+        xstar = x if rng.random() < 0.2 else rng.uniform(-3, 3)
+        pairs = []
+        for kind in rng.integers(3, size=S):
+            med, out = random_model_pair(rng, J=J, p=p)
+            if kind == 1:
+                med = dataclasses.replace(med, gammaX=0.0)
+            elif kind == 2:
+                out = dataclasses.replace(out, betaM=0.0, betaXM=0.0)
+            pairs.append((med, out))
+        yield EffectQuery(x, xstar, tuple(rng.uniform(-2, 2, size=p))), pairs
+        total -= S
+
+
+def _rows_of(query, pairs):
+    return _effect_rows(query, np.stack([_parameters(m) for m, _ in pairs]),
+                        np.stack([_parameters(o) for _, o in pairs]))
+
+
+class TestStackedEffects:
+    def test_rows_equal_effect_tables_bitwise(self, rng):
+        # every row of a stack is the flattened table of its own pair, to
+        # the bit (signed zeros included), whatever else is in the stack
+        null_zero = 0
+        for query, pairs in _stacked_cases(rng, 2000):
+            rows = _rows_of(query, pairs)
+            assert rows.shape == (len(pairs), 3 * pairs[0][1].J - 1)
+            for row, (med, out) in zip(rows, pairs):
+                assert row.tobytes() == effect_table(query, med, out).flatten().tobytes()
+                null_zero += query.x == query.xstar and not row.any()
+        assert null_zero > 0
+
+    def test_broken_row_raises_naming_its_level(self, rng, monkeypatch):
+        # inflating the (x, xstar) log RR correction of one pair at level 3
+        # breaks its decomposition by rounding; the check names that level
+        real = effects._mixture_terms
+
+        def broken(*args):
+            terms = real(*args)
+            terms["log_rr"][1, 4, 2] += 1e20
+            return terms
+
+        query, pairs = EffectQuery(3.5, 2.0), [random_model_pair(rng, J=5) for _ in range(7)]
+        _rows_of(query, pairs)
+        monkeypatch.setattr(effects, "_mixture_terms", broken)
+        with pytest.raises(ConsistencyError, match="at level 3:"):
+            _rows_of(query, pairs)
 
 
 def _saturated_case(rng):

@@ -9,6 +9,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from ordmed import (
@@ -564,6 +565,28 @@ class TestFitMediator:
         data = _dataset([2.0, 2.0, 2.0, 2.0], [0, 1, 0, 1], [1, 2, 1, 2], J=2)
         with pytest.raises(DegenerateDataError, match="rank"):
             fit_mediator(data)
+
+    @pytest.mark.parametrize("which", ["j3", "sparse-j5"])
+    def test_record_order_invariance(self, which):
+        # the fit of every row permutation agrees with the original fit to
+        # 1e-10 relative, after the same number of likelihood evaluations
+        if which == "j3":
+            data = _sim(500, seed=1)
+        else:
+            data = simulate_dataset(SimulationDesign(
+                n=300, mean_x=3.0, sd_x=1.3, mediator=SPARSE_MEDIATOR, outcome=SPARSE_OUTCOME, seed=4242,
+            ))
+        fit = fit_mediator(data)
+
+        @settings(max_examples=50, deadline=None)
+        @given(st.permutations(range(data.n)))
+        def check(perm):
+            permuted = fit_mediator(data.subset(perm))
+            assert [permuted.model.gamma0, permuted.model.gammaX] == pytest.approx(
+                [fit.model.gamma0, fit.model.gammaX], rel=1e-10, abs=0.0)
+            assert permuted.evaluations == fit.evaluations
+
+        check()
 
     def test_complete_separation_diagnosed(self):
         # tiny margins force the diverging-norm diagnostic before the

@@ -22,11 +22,13 @@ from ordmed import (
     simulate_dataset,
     SimulationDesign,
 )
-from ordmed.simulation import RNG_INFO
+from ordmed.simulation import RNG_INFO, _simulate_stack
 
 from conftest import (
     J3_MEDIATOR,
     J3_OUTCOME,
+    J5_MEDIATOR,
+    J5_OUTCOME,
     SPARSE_MEDIATOR,
     SPARSE_OUTCOME,
     X_ACTIVE,
@@ -125,6 +127,36 @@ class TestSimulateDataset:
         assert "AS 241" in RNG_INFO["normal_method"]
 
 
+def _covariate_design(p, J, n=200, seed=17):
+    """The J=3 (J=2: its first threshold; J=5: the J=5 study's) design with
+    p covariates entering both models."""
+    mediator, outcome = {2: (J3_MEDIATOR, dataclasses.replace(J3_OUTCOME, alpha=(2.5,))),
+                         3: (J3_MEDIATOR, J3_OUTCOME), 5: (J5_MEDIATOR, J5_OUTCOME)}[J]
+    return SimulationDesign(
+        n=n, mean_x=3.0, sd_x=1.5, seed=seed,
+        mediator=dataclasses.replace(mediator, gammaC=(0.4, -0.3)[:p]),
+        outcome=dataclasses.replace(outcome, betaC=(-0.6, 0.2)[:p]),
+        cov_means=(0.5, -1.0)[:p], cov_sds=(1.0, 2.0)[:p],
+    )
+
+
+class TestSimulateStack:
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("J", [2, 3, 5])
+    def test_stacked_datasets_equal_single_draws_bitwise(self, p, J):
+        design = _covariate_design(p, J)
+        for S in (1, 16, 5):
+            seeds = [replicate_seed(design.seed, 100 * S + s) for s in range(S)]
+            stack = _simulate_stack(design, seeds)
+            assert stack.J == J and stack.covariates.shape == (S, design.n, p)
+            for s, seed in enumerate(seeds):
+                alone = simulate_dataset(dataclasses.replace(design, seed=seed))
+                for column in ("x", "m", "y", "covariates"):
+                    got, want = getattr(stack, column)[s], getattr(alone, column)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestMonteCarloStudy:
     def test_single_replicate_equals_direct_pipeline(self):
         design = dataclasses.replace(SPARSE_DESIGN, n=400)
@@ -157,6 +189,18 @@ class TestMonteCarloStudy:
             assert summary.failed_replicates == tuple(failed)
         assert failed
 
+    def test_covariate_replicates_equal_per_replicate_enumeration(self):
+        # the enumeration above for a design with two covariates
+        design = _covariate_design(2, 3, n=150, seed=4242)
+        query = EffectQuery(X_ACTIVE, X_BASELINE, (0.2, -0.5))
+        summary = monte_carlo_study(design, 37, query)
+        rows = []
+        for r in range(37):
+            data = simulate_dataset(dataclasses.replace(design, seed=replicate_seed(design.seed, r)))
+            rows.append(effect_table(query, fit_mediator(data).model, fit_outcome(data).model).flatten())
+        assert summary.estimates.tobytes() == np.vstack(rows).tobytes()
+        assert summary.failed_replicates == ()
+
     def test_bitwise_reproducible(self):
         design = dataclasses.replace(SPARSE_DESIGN, n=120)
         a = monte_carlo_study(design, 8, QUERY)
@@ -180,6 +224,14 @@ class TestMonteCarloStudy:
         assert summary.estimates.shape[0] == 60 - summary.n_failures
         assert set(summary.failed_replicates).isdisjoint(summary.replicate_ids)
         assert np.all(np.isfinite(summary.estimates))
+
+    def test_all_replicates_failing_raises(self):
+        # gamma0 = -60 leaves every replicate without a mediator value of 1,
+        # so every stack reaches the outcome fits and the effects empty
+        design = SimulationDesign(n=30, mean_x=0.0, sd_x=1.0, mediator=MediatorModel(-60.0, 0.1),
+                                  outcome=J3_OUTCOME, seed=5)
+        with pytest.raises(DegenerateDataError, match="all 20 replicates failed"):
+            monte_carlo_study(design, 20, QUERY)
 
     def test_mean_and_sd_shapes(self):
         summary = monte_carlo_study(dataclasses.replace(SPARSE_DESIGN, n=200), 5, QUERY)
