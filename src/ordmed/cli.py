@@ -13,9 +13,11 @@ File conventions: data CSVs have a header row ``x,m,y[,c1..cp]`` (UTF-8,
 starts with a ``# key: value`` metadata block (tool version, full command
 line, seed) sufficient to reproduce the run; readers here skip ``#`` lines.
 
-Exit codes: 0 success, 1 validation error, 2 convergence failure,
-3 bootstrap unreliable (more than half the resamples failed), 4 internal
-consistency check failed (a bug in ordmed, not a problem with the input).
+Exit codes: 0 success; 1 validation error or data that cannot be fitted,
+including a bootstrap whose every resample failed (no report is written);
+2 convergence failure; 3 bootstrap unreliable (more than half the resamples
+failed; the report is written and flagged); 4 internal consistency check
+failed (a bug in ordmed, not a problem with the input).
 """
 
 from __future__ import annotations
@@ -87,20 +89,18 @@ def build_parser():
     eff.set_defaults(handler=cmd_effects)
 
     fit = sub.add_parser("fit", help="maximum-likelihood fit of both models from a data CSV")
-    fit.add_argument("--data", required=True, help="input data CSV (x,m,y[,c1..cp])")
-    fit.add_argument("--levels", type=int, default=None, help="number of outcome levels J (default: max observed y)")
+    _add_data_args(fit)
     _add_output_args(fit)
     fit.set_defaults(handler=cmd_fit)
 
     ana = sub.add_parser("analyze", help="fit, effect table, and bootstrap CIs in one report")
-    ana.add_argument("--data", required=True)
-    ana.add_argument("--levels", type=int, default=None)
+    _add_data_args(ana)
     _add_query_args(ana)
     ana.add_argument("--bootstrap", type=int, default=1000, metavar="B",
                      help="bootstrap resamples (default 1000; 0 skips the bootstrap)")
     ana.add_argument("--level", type=float, default=0.95, help="CI level (default 0.95)")
     ana.add_argument("--seed", type=int, default=None,
-                     help="RNG seed; required whenever the bootstrap runs")
+                     help="RNG seed, a whole number in [0, 2**64); required whenever the bootstrap runs")
     _add_output_args(ana)
     ana.set_defaults(handler=cmd_analyze)
 
@@ -119,6 +119,13 @@ def build_parser():
     mc.set_defaults(handler=cmd_mc_study)
 
     return parser
+
+
+def _add_data_args(parser):
+    parser.add_argument("--data", required=True, help="input data CSV (x,m,y[,c1..cp])")
+    parser.add_argument("--levels", type=int, default=None,
+                        help="number of outcome levels J (default: the largest y, and then every y "
+                        "must lie in 1..number of records)")
 
 
 def _add_query_args(parser):
@@ -149,19 +156,15 @@ def _add_design_args(parser):
     parser.add_argument("--cov-means", default=None, metavar="M1,..,MP")
     parser.add_argument("--cov-sds", default=None, metavar="S1,..,SP")
     parser.add_argument("--seed", type=int, required=True,
-                        help="RNG seed (explicit; there is no wall-clock default)")
+                        help="RNG seed, a whole number in [0, 2**64) (explicit; there is no wall-clock default)")
 
 
 # ----------------------------------------------------------------------
 # shared pieces
 
-def _parse_float_list(text, what):
-    if text is None:
-        return ()
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
-    except ValueError as exc:
-        raise CliError(f"could not parse {what} {text!r} as comma-separated reals") from exc
+def _split_list(text):
+    """The entries of a comma-separated list flag, parsed as reals by the model they go to."""
+    return () if text is None else tuple(tok for tok in text.split(",") if tok.strip())
 
 
 def _load_params(path):
@@ -177,10 +180,8 @@ def _load_params(path):
     missing = {"gamma0", "gammaX", "alpha", "betaX", "betaM", "betaXM"} - set(raw)
     if missing:
         raise CliError(f"parameter file {path}: missing field(s) {sorted(missing)}")
-    mediator = MediatorModel(raw["gamma0"], raw["gammaX"], tuple(raw.get("gammaC", ())))
-    outcome = OutcomeModel(
-        tuple(raw["alpha"]), raw["betaX"], raw["betaM"], raw["betaXM"], tuple(raw.get("betaC", ()))
-    )
+    mediator = MediatorModel(raw["gamma0"], raw["gammaX"], raw.get("gammaC", ()))
+    outcome = OutcomeModel(raw["alpha"], raw["betaX"], raw["betaM"], raw["betaXM"], raw.get("betaC", ()))
     if mediator.p != outcome.p:
         raise CliError(
             f"parameter file {path}: gammaC has {mediator.p} entries but betaC has {outcome.p}"
@@ -212,41 +213,23 @@ def _read_data_csv(path):
 
 def _dataset_from_args(args):
     rows, p = _read_data_csv(args.data)
-    J = args.levels if args.levels is not None else _infer_levels(rows)
-    return validate_dataset(rows, J, p)
-
-
-def _infer_levels(rows):
-    observed = []
-    for row in rows:
-        if len(row) >= 3:
-            try:
-                observed.append(int(float(row[2])))
-            except ValueError:
-                pass
-    if not observed:
-        raise CliError("cannot infer the number of outcome levels; pass --levels")
-    return max(observed)
+    return validate_dataset(rows, args.levels, p)
 
 
 def _query_from_args(args):
-    return EffectQuery(args.x, args.xstar, _parse_float_list(args.c, "--c"))
+    return EffectQuery(args.x, args.xstar, _split_list(args.c))
 
 
 def _design_from_args(args):
-    gamma_c = _parse_float_list(args.gamma_c, "--gamma-c")
-    beta_c = _parse_float_list(args.beta_c, "--beta-c")
     return SimulationDesign(
         n=args.n,
         mean_x=args.mean_x,
         sd_x=args.sd_x,
-        mediator=MediatorModel(args.gamma0, args.gamma_x, gamma_c),
-        outcome=OutcomeModel(
-            _parse_float_list(args.alpha, "--alpha"), args.beta_x, args.beta_m, args.beta_xm, beta_c
-        ),
+        mediator=MediatorModel(args.gamma0, args.gamma_x, _split_list(args.gamma_c)),
+        outcome=OutcomeModel(_split_list(args.alpha), args.beta_x, args.beta_m, args.beta_xm, _split_list(args.beta_c)),
         seed=args.seed,
-        cov_means=_parse_float_list(args.cov_means, "--cov-means"),
-        cov_sds=_parse_float_list(args.cov_sds, "--cov-sds"),
+        cov_means=_split_list(args.cov_means),
+        cov_sds=_split_list(args.cov_sds),
     )
 
 
@@ -365,15 +348,13 @@ def cmd_fit(args, argv):
 
 def cmd_analyze(args, argv):
     """The full pipeline: validate, fit both models, effect table, bootstrap CIs."""
-    if args.bootstrap < 0:
-        raise CliError("--bootstrap must be >= 0")
-    if args.bootstrap > 0 and args.seed is None:
+    if args.bootstrap and args.seed is None:
         raise CliError("--seed is required when the bootstrap runs (pass --bootstrap 0 to skip)")
     data = _dataset_from_args(args)
     query = _query_from_args(args)
 
     boot = None
-    if args.bootstrap > 0:
+    if args.bootstrap:
         boot = bootstrap_effects(data, query, args.bootstrap, args.level, seed=args.seed)
         med_fit, out_fit, table = boot.mediator_fit, boot.outcome_fit, boot.point
     else:
@@ -431,8 +412,6 @@ def cmd_simulate(args, argv):
 def cmd_mc_study(args, argv):
     design = _design_from_args(args)
     query = _query_from_args(args)
-    if args.replications < 1:
-        raise CliError("--replications must be >= 1")
     summary = monte_carlo_study(design, args.replications, query)
 
     metadata = _metadata(argv, seed=design.seed, randomized=True, extra=[

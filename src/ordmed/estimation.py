@@ -42,12 +42,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import ConvergenceError, DegenerateDataError, DimensionError, SeparationError
+from .exceptions import ConvergenceError, DegenerateDataError, SeparationError
 from .models import (
     Dataset,
     MediatorModel,
     OutcomeModel,
     _category_probs,
+    _check_dims,
     _mediator_eta,
     _parameters,
 )
@@ -123,11 +124,6 @@ class _Stack(NamedTuple):
         return _Stack(self.x[rows], self.m[rows], self.y[rows], self.covariates[rows], self.J)
 
 
-def _check_dims(model, data: Dataset):
-    if model.p != data.p:
-        raise DimensionError(f"model has {model.p} covariate(s) but dataset has {data.p}")
-
-
 def loglik_mediator(model: MediatorModel, data: Dataset):
     """Bernoulli log-likelihood of the mediator regression."""
     _check_dims(model, data)
@@ -142,8 +138,6 @@ def loglik_outcome(model: OutcomeModel, data: Dataset):
     exactly -inf (no exception, no clamping).
     """
     _check_dims(model, data)
-    if model.J != data.J:
-        raise DimensionError(f"model has J={model.J} levels but dataset declares J={data.J}")
     probs = _category_probs(model, data.x, data.m, data.covariates)
     picked = probs[np.arange(data.n), data.y - 1]
     with np.errstate(divide="ignore"):
@@ -254,17 +248,21 @@ def _solve_outcomes(stack: _Stack):
     S, n = stack.y.shape
     J = stack.J
     K = J - 1
+    W = _outcome_design(stack)
+    if J > n:  # some level is never observed: fail before counting J cells per problem
+        error = DegenerateDataError(f"{J} outcome levels but only {n} records; every level must appear at least once")
+        return _solve([error] * S, [], None, np.empty((0, K + W.shape[2])), (), "outcome model")
     counts = np.bincount(
         (stack.y + np.arange(0, S * (J + 1), J + 1)[:, None]).ravel(), minlength=S * (J + 1)
     ).reshape(S, J + 1)[:, 1:]
     errors = [None] * S
     for s in np.flatnonzero((counts == 0).any(axis=1)):
-        missing = np.flatnonzero(counts[s] == 0) + 1
+        missing = (np.flatnonzero(counts[s] == 0) + 1).tolist()
+        more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
         errors[s] = DegenerateDataError(
-            f"outcome level(s) {', '.join(map(str, missing))} never observed; "
+            f"outcome level(s) {', '.join(map(str, missing[:10]))}{more} never observed; "
             f"every level 1..{J} must appear at least once"
         )
-    W = _outcome_design(stack)
     live = _full_rank(
         np.concatenate([np.ones((S, n, 1)), W], axis=2), errors, "outcome design matrix (1, x, m, x*m, c)"
     )

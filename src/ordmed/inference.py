@@ -20,7 +20,7 @@ import numpy as np
 from .effects import EffectQuery, EffectTable, _effect_rows, effect_labels, effect_table
 from .estimation import _STACK_SIZE, FitResult, _fit_pairs, _Stack, fit_mediator, fit_outcome
 from .exceptions import DegenerateDataError
-from .models import Dataset
+from .models import Dataset, _seed, _whole
 from .numerics import keyed_stream
 
 _BOOTSTRAP_DOMAIN = 2
@@ -95,9 +95,8 @@ def bootstrap_effects(data: Dataset, query: EffectQuery, B, level=0.95, *, seed)
     ``fit_mediator``/``fit_outcome`` on it, and its effects those of
     ``effect_table`` on their models.
     """
-    B = int(B)
-    if B < 1:
-        raise ValueError(f"B must be >= 1, got {B}")
+    B = _whole(B, "B", 1)
+    seed = _seed(seed)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level!r}")
 

@@ -1,5 +1,7 @@
 """Parametric building blocks: the logistic mediator regression, the
-proportional-odds outcome regression, and validated observation data.
+proportional-odds outcome regression, validated observation data, and the
+input rules every module applies (whole numbers, finite reals, seeds, and a
+model's dimensions against a dataset's).
 
 Outcome levels are coded 1..J externally; thresholds are indexed 1..J-1.
 Probabilities are never clamped: invalid parameter vectors are rejected at
@@ -9,6 +11,7 @@ indicates a bug rather than a silently repaired model.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,22 +21,39 @@ from .numerics import expit
 
 
 def _finite_scalar(value, name):
-    value = float(value)
-    if not np.isfinite(value):
-        raise ModelSpecError(f"{name} must be finite, got {value!r}")
-    return value
+    try:
+        real = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelSpecError(f"{name} must be a real number, got {value!r}") from exc
+    if not np.isfinite(real):
+        raise ModelSpecError(f"{name} must be finite, got {real!r}")
+    return real
 
 
 def _finite_tuple(values, name):
     if isinstance(values, (str, bytes)):  # iterable, but not a sequence of reals
         raise ModelSpecError(f"{name} must be a sequence of reals, got {values!r}")
     try:
-        out = tuple(float(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise ModelSpecError(f"{name} must be a sequence of reals") from exc
-    if out and not np.all(np.isfinite(out)):
-        raise ModelSpecError(f"every entry of {name} must be finite, got {out!r}")
-    return out
+        return tuple(_finite_scalar(v, f"every entry of {name}") for v in values)
+    except TypeError as exc:  # not iterable
+        raise ModelSpecError(f"{name} must be a sequence of reals, got {values!r}") from exc
+
+
+def _whole(value, name, low, high=None):
+    """``value`` as an int, if it is a whole number in [low, high)."""
+    try:
+        whole = operator.index(value)  # exact for ints beyond float precision
+    except TypeError:
+        whole = int(value) if isinstance(value, (float, np.floating)) and value.is_integer() else None
+    if whole is None or whole < low or (high is not None and whole >= high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ModelSpecError(f"{name} must be a whole number {bound}, got {value!r}")
+    return whole
+
+
+def _seed(value):
+    """A seed of the keyed streams: a whole number in [0, 2**64)."""
+    return _whole(value, "seed", 0, 2**64)
 
 
 def _covariate_vector(c, p, owner):
@@ -43,17 +63,20 @@ def _covariate_vector(c, p, owner):
     return arr
 
 
+def _check_dims(model, data):
+    """A model fits a dataset's covariate count and, for outcomes, its levels."""
+    if model.p != data.p:
+        raise DimensionError(f"model has {model.p} covariate(s) but dataset has {data.p}")
+    if isinstance(model, OutcomeModel) and model.J != data.J:
+        raise DimensionError(f"model has J={model.J} levels but dataset declares J={data.J}")
+
+
 def _check_mediator_value(m):
-    if m not in (0, 1):
-        raise ValueError(f"mediator must be 0 or 1, got {m!r}")
-    return int(m)
+    return _whole(m, "mediator value m", 0, 2)
 
 
 def _check_level(j, J):
-    j = int(j)
-    if not 1 <= j <= J - 1:
-        raise ValueError(f"threshold index j={j} outside 1..{J - 1}")
-    return j
+    return _whole(j, "threshold index j", 1, J)
 
 
 @dataclass(frozen=True)
@@ -77,7 +100,7 @@ class MediatorModel:
 
     def linear_predictor(self, x, c=()):
         c = _covariate_vector(c, self.p, "mediator model")
-        return float(_mediator_eta(self, float(x), c))
+        return float(_mediator_eta(self, _finite_scalar(x, "x"), c))
 
 
 @dataclass(frozen=True)
@@ -182,41 +205,38 @@ def category_probabilities(model: OutcomeModel, x, m, c=()):
 
 def _outcome_query(model: OutcomeModel, x, m, c):
     # one validated (x, m, c) point of the outcome model
-    return float(x), _check_mediator_value(m), _covariate_vector(c, model.p, "outcome model")
+    return _finite_scalar(x, "x"), _check_mediator_value(m), _covariate_vector(c, model.p, "outcome model")
 
 
-def validate_dataset(records, J, p=0):
+def validate_dataset(records, J=None, p=0):
     """Check raw rows and assemble a :class:`Dataset`.
 
     ``records`` is an iterable of rows ``(x, m, y, c1, ..., cp)``; entries may
-    be numbers or numeric strings (as read from CSV).  Every violation across
-    the whole input is collected into the raised
-    :class:`~ordmed.exceptions.DataValidationError`, one
+    be numbers or numeric strings (as read from CSV).  Without ``J`` the
+    number of outcome levels is the largest y, and every y must be a whole
+    number from 1 to the record count: a larger J could never have every
+    level observed.  Every violation across the whole input is collected
+    into the raised :class:`~ordmed.exceptions.DataValidationError`, one
     ``(row_index, field, reason)`` triple each.
     """
-    J = int(J)
-    p = int(p)
-    if J < 2:
-        raise ModelSpecError(f"J must be >= 2, got {J}")
-    if p < 0:
-        raise ModelSpecError(f"p must be >= 0, got {p}")
+    if J is not None:
+        J = _whole(J, "J", 2, 2**63)  # y is stored as int64
+    p = _whole(p, "p", 0)
 
     rows = [tuple(row) for row in records]
     if not rows:
         raise DataValidationError("dataset is empty")
+    levels = f"1..{J}" if J is not None else f"1..{len(rows)} (J is inferred: at most one level per record)"
+    top = len(rows) if J is None else J
 
     problems = []
 
     def number(i, field, value):
         try:
-            v = float(value)
-        except (TypeError, ValueError):
-            problems.append((i, field, f"not a number: {value!r}"))
+            return _finite_scalar(value, "value")
+        except ModelSpecError as exc:
+            problems.append((i, field, str(exc)))
             return None
-        if not np.isfinite(v):
-            problems.append((i, field, f"not finite: {value!r}"))
-            return None
-        return v
 
     width = 3 + p
     xs = np.empty(len(rows))
@@ -238,10 +258,10 @@ def validate_dataset(records, J, p=0):
                 problems.append((i, "m", f"must be 0 or 1, got {row[1]!r}"))
         v = number(i, "y", row[2])
         if v is not None:
-            if v == int(v) and 1 <= v <= J:
+            if v.is_integer() and 1 <= v <= top:
                 ys[i] = int(v)
             else:
-                problems.append((i, "y", f"must be an integer in 1..{J}, got {row[2]!r}"))
+                problems.append((i, "y", f"must be an integer in {levels}, got {row[2]!r}"))
         for k in range(p):
             v = number(i, f"c{k + 1}", row[3 + k])
             if v is not None:
@@ -253,6 +273,8 @@ def validate_dataset(records, J, p=0):
             f"{len(problems)} invalid value(s) in {len(rows)} records:\n" + "\n".join(lines),
             problems,
         )
+    if J is None:
+        J = _whole(int(ys.max()), "J", 2)
     return Dataset(xs, ms, ys, cs, J, p)
 
 

@@ -22,7 +22,17 @@ import numpy as np
 from .effects import EffectQuery, _effect_rows, effect_labels
 from .estimation import _STACK_SIZE, _fit_pairs, _Stack
 from .exceptions import DegenerateDataError, DimensionError, ModelSpecError
-from .models import Dataset, MediatorModel, OutcomeModel, _cumulative_probs, _mediator_eta
+from .models import (
+    Dataset,
+    MediatorModel,
+    OutcomeModel,
+    _cumulative_probs,
+    _finite_scalar,
+    _finite_tuple,
+    _mediator_eta,
+    _seed,
+    _whole,
+)
 from .numerics import expit, inverse_normal_cdf, keyed_stream
 
 _SIM_DOMAIN = 0
@@ -47,8 +57,8 @@ class SimulationDesign:
 
     x ~ Normal(mean_x, sd_x); optional independent Normal covariates
     (cov_means[i], cov_sds[i]); then m from the mediator model and y from the
-    outcome model.  ``seed`` (64-bit unsigned) keys every stream, so equal
-    designs generate identical datasets.
+    outcome model.  ``seed``, a whole number in [0, 2**64), keys every stream,
+    so equal designs generate identical datasets.
     """
 
     n: int
@@ -61,23 +71,16 @@ class SimulationDesign:
     cov_sds: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if int(self.n) < 1:
-            raise ModelSpecError(f"n must be positive, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
-        if not (np.isfinite(self.mean_x) and np.isfinite(self.sd_x)) or self.sd_x <= 0:
-            raise ModelSpecError(f"need finite mean_x and sd_x > 0, got {self.mean_x!r}, {self.sd_x!r}")
-        object.__setattr__(self, "mean_x", float(self.mean_x))
-        object.__setattr__(self, "sd_x", float(self.sd_x))
-        seed = int(self.seed)
-        if not 0 <= seed < 2**64:
-            raise ModelSpecError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", seed)
-        means = tuple(float(v) for v in self.cov_means)
-        sds = tuple(float(v) for v in self.cov_sds)
-        if len(means) != len(sds) or any(s <= 0 or not np.isfinite(s) for s in sds) or not all(
-            np.isfinite(v) for v in means
-        ):
-            raise ModelSpecError("cov_means and cov_sds must be equally long, finite, with sds > 0")
+        object.__setattr__(self, "n", _whole(self.n, "n", 1))
+        object.__setattr__(self, "mean_x", _finite_scalar(self.mean_x, "mean_x"))
+        object.__setattr__(self, "sd_x", _finite_scalar(self.sd_x, "sd_x"))
+        if self.sd_x <= 0:
+            raise ModelSpecError(f"sd_x must be > 0, got {self.sd_x!r}")
+        object.__setattr__(self, "seed", _seed(self.seed))
+        means = _finite_tuple(self.cov_means, "cov_means")
+        sds = _finite_tuple(self.cov_sds, "cov_sds")
+        if len(means) != len(sds) or any(s <= 0 for s in sds):
+            raise ModelSpecError("cov_means and cov_sds must be equally long, with sds > 0")
         object.__setattr__(self, "cov_means", means)
         object.__setattr__(self, "cov_sds", sds)
         if self.mediator.p != self.outcome.p or self.mediator.p != len(means):
@@ -182,9 +185,7 @@ def monte_carlo_study(design: SimulationDesign, replications, query: EffectQuery
     fits those of ``fit_mediator``/``fit_outcome`` on it, and its effects
     those of ``effect_table`` on their models.
     """
-    replications = int(replications)
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
+    replications = _whole(replications, "replications", 1)
     if len(query.c) != design.p:
         raise DimensionError(f"query has {len(query.c)} covariate(s) but design has {design.p}")
 

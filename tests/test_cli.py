@@ -6,9 +6,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ordmed.effects
+import ordmed.inference
+from ordmed import DegenerateDataError
 from ordmed.cli import EXIT_CONVERGENCE, EXIT_INTERNAL, EXIT_OK, EXIT_UNRELIABLE, EXIT_VALIDATION, main
 
 from conftest import J3_TRUE_EFFECTS, J5_TRUE_EFFECTS
@@ -469,6 +472,110 @@ class TestUsageErrors:
         assert main(["fit", "--data", str(bad), "--out", str(tmp_path / "f.csv")]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "row 1" in err and "m" in err
+
+
+SIX_ROWS = "x,m,y\n0.1,0,1\n0.4,1,2\n0.9,0,2\n1.3,1,1\n0.6,0,2\n1.9,1,1\n"
+
+
+class TestInputRules:
+    """Each input rule is decided once, in the library: the CLI exits 1 with
+    the row and field, or the parameter, and never with a traceback."""
+
+    @pytest.mark.parametrize("y, reason", [
+        ("inf", "row 2: field y: value must be finite"),
+        ("1e300", "row 2: field y: must be an integer in 1..3"),
+    ])
+    def test_inferred_levels(self, tmp_path, capsys, y, reason):
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text(f"x,m,y\n0.1,0,1\n0.4,1,2\n0.9,0,{y}\n")
+        assert main(["fit", "--data", str(data_csv), "--out", str(tmp_path / "f.csv")]) == EXIT_VALIDATION
+        assert reason in capsys.readouterr().err
+
+    def test_header_only_file_is_empty(self, tmp_path, capsys):
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text("x,m,y\n")
+        assert main(["fit", "--data", str(data_csv), "--out", str(tmp_path / "f.csv")]) == EXIT_VALIDATION
+        assert "dataset is empty" in capsys.readouterr().err
+
+    def test_single_level_still_rejected(self, tmp_path, capsys):
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text("x,m,y\n0.1,0,1\n0.4,1,1\n")
+        assert main(["fit", "--data", str(data_csv), "--out", str(tmp_path / "f.csv")]) == EXIT_VALIDATION
+        assert "J must be a whole number >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+    def test_analyze_seed_rule_is_the_simulate_seed_rule(self, tmp_path, capsys, seed):
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text(SIX_ROWS)
+        code = main(["analyze", "--data", str(data_csv), "--x", "1", "--xstar", "0",
+                     "--bootstrap", "4", "--seed", seed, "--out", str(tmp_path / "r.csv")])
+        assert code == EXIT_VALIDATION
+        assert f"seed must be a whole number in [0, {2**64})" in capsys.readouterr().err
+        code = main(["simulate", *SPARSE_FLAGS, "--seed", seed, "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_VALIDATION
+        assert f"seed must be a whole number in [0, {2**64})" in capsys.readouterr().err
+
+    def test_more_levels_than_records_fail_fast(self, tmp_path, capsys):
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text(SIX_ROWS)
+        code = main(["fit", "--data", str(data_csv), "--levels", "2000000", "--out", str(tmp_path / "f.csv")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "2000000 outcome levels but only 6 records" in err
+        assert len(err.encode()) < 1024
+
+    def test_levels_beyond_the_outcome_storage(self, tmp_path, capsys):
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text("x,m,y\n0.1,0,1e20\n")
+        code = main(["fit", "--data", str(data_csv), "--levels", str(10**30), "--out", str(tmp_path / "f.csv")])
+        assert code == EXIT_VALIDATION
+        assert f"J must be a whole number in [2, {2**63})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, reason", [
+        (["--alpha", "-0.9,x"], "every entry of alpha must be a real number, got 'x'"),
+        (["--cov-means", "inf", "--cov-sds", "1", "--gamma-c", "0", "--beta-c", "0"],
+         "every entry of cov_means must be finite"),
+        (["--n", "0"], "n must be a whole number >= 1"),
+    ])
+    def test_design_flags_are_parsed_by_the_models(self, tmp_path, capsys, flags, reason):
+        code = main(["simulate", *SPARSE_FLAGS, *flags, "--seed", "1", "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_VALIDATION
+        assert reason in capsys.readouterr().err
+
+    def test_negative_bootstrap_follows_the_resample_count_rule(self, tmp_path, capsys):
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text(SIX_ROWS)
+        code = main(["analyze", "--data", str(data_csv), "--x", "1", "--xstar", "0",
+                     "--bootstrap", "-3", "--seed", "1", "--out", str(tmp_path / "r.csv")])
+        assert code == EXIT_VALIDATION
+        assert "B must be a whole number >= 1, got -3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("alpha", "123"), ("alpha", 2.0), ("gammaC", "7"), ("gamma0", None)])
+    def test_parameter_file_values_are_checked_by_the_models(self, tmp_path, capsys, field, value):
+        # a JSON string is no threshold vector, and null is no real
+        params = {"gamma0": 0, "gammaX": 0, "alpha": [0.0, 1.0], "betaX": 0, "betaM": 0, "betaXM": 0, field: value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(params))
+        code = main(["effects", "--params", str(bad), "--x", "1", "--xstar", "0", "--out", str(tmp_path / "e.csv")])
+        assert code == EXIT_VALIDATION
+        assert field in capsys.readouterr().err
+
+    def test_all_failed_bootstrap_exits_validation_without_a_report(self, tmp_path, capsys, monkeypatch):
+        # exit 3 flags a written report; with every resample failed there is
+        # no interval to report
+        def all_fail(stack):
+            S, _, p = stack.covariates.shape
+            return np.empty((0, 2 + p)), np.empty((0, stack.J + 2 + p)), [DegenerateDataError("forced")] * S
+
+        data_csv = tmp_path / "data.csv"
+        main(["simulate", *SPARSE_FLAGS, "--seed", "7", "--out", str(data_csv)])
+        monkeypatch.setattr(ordmed.inference, "_fit_pairs", all_fail)
+        out = tmp_path / "report.json"
+        code = main(["analyze", "--data", str(data_csv), "--x", "3.5", "--xstar", "2",
+                     "--bootstrap", "8", "--seed", "17", "--format", "json", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "all 8 bootstrap resamples failed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 COV_FLAGS = [

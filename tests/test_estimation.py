@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
+import ordmed.estimation
 from ordmed import (
     ConvergenceError,
     Dataset,
     DegenerateDataError,
+    DimensionError,
     MediatorModel,
     OutcomeModel,
     SeparationError,
@@ -31,12 +33,15 @@ from ordmed import (
     simulate_dataset,
 )
 from ordmed.estimation import (
+    _MAX_HALVINGS,
+    _MAX_ITERATIONS,
     _fit_mediators,
     _fit_outcomes,
     _newton_maximize,
     _outcome_design,
     _proportional_odds_parts,
     _Stack,
+    _standard_errors,
 )
 from ordmed.inference import _BOOTSTRAP_DOMAIN
 from ordmed.numerics import expit, keyed_stream
@@ -112,6 +117,16 @@ class TestLoglik:
             loglik_outcome(OutcomeModel((0.0,), 0, 0, 0), data)  # J mismatch
         with pytest.raises(Exception):
             loglik_mediator(MediatorModel(0, 0, (1.0,)), data)  # p mismatch
+
+    def test_every_likelihood_function_checks_both_dimensions(self):
+        data = _sim(10, seed=1)  # J = 3, p = 0
+        for model in (OutcomeModel((0.0, 1.0, 2.0), 0, 0, 0), OutcomeModel((0.0, 1.0), 0, 0, 0, (1.0,))):
+            for function in (loglik_outcome, outcome_loglik_gradient):
+                with pytest.raises(DimensionError):
+                    function(model, data)
+        for function in (loglik_mediator, mediator_loglik_gradient):
+            with pytest.raises(DimensionError):
+                function(MediatorModel(0, 0, (1.0,)), data)
 
 
 class TestGradients:
@@ -469,6 +484,99 @@ class TestEvaluationCounts:
         assert near[2][3] == 0
 
 
+def _quadratic(theta, w):
+    # maximize -(t - 1)^2 - w (u - 2)^2: Newton's first step is exact for
+    # w > 0; for w = 0 the Hessian is singular everywhere and u is not identified
+    t, u = theta[:, 0] - 1.0, theta[:, 1] - 2.0
+    hess = np.zeros((w.size, 2, 2))
+    hess[:, 0, 0] = -2.0
+    hess[:, 1, 1] = -2.0 * w
+    return -(t * t) - w * u * u, np.stack([-2.0 * t, -2.0 * w * u], axis=1), hess, np.ones(w.size, dtype=bool)
+
+
+def _counted(fun, calls):
+    # fun, recording the number of problems of every call: an error exit
+    # returns no counts, so a one-problem stack's evaluations are its calls
+    def counted(theta, *args):
+        calls.append(theta.shape[0])
+        return fun(theta, *args)
+
+    return counted
+
+
+class TestEngineExits:
+    """Each way out of the Newton engine, driven by synthetic problems."""
+
+    def test_singular_hessian_in_a_stack_leaves_the_regular_fit_bitwise(self, monkeypatch):
+        fallbacks = []
+        original = ordmed.estimation._solved_or_nan
+
+        def solved_or_nan(a, b):
+            fallbacks.append(b.ndim)
+            return original(a, b)
+
+        monkeypatch.setattr(ordmed.estimation, "_solved_or_nan", solved_or_nan)
+        theta, hess, (singular, regular) = _newton_maximize(
+            _quadratic, np.zeros((2, 2)), (np.array([0.0, 1.0]),), "test problem")
+        assert 1 in fallbacks  # the stacked Newton solve raised LinAlgError
+        alone_theta, alone_hess, (alone,) = _newton_maximize(
+            _quadratic, np.zeros((1, 2)), (np.array([1.0]),), "test problem")
+        assert regular == alone and regular[2] == (1, 2, 0, 0)
+        assert theta[1].tobytes() == alone_theta[0].tobytes()
+        assert hess[1].tobytes() == alone_hess[0].tobytes()
+        # the singular problem climbs t by damped gradient steps and stops
+        # with u where it started
+        _, gnorm, (iterations, evaluations, halvings, damped) = singular
+        assert gnorm <= 1e-8 and theta[0, 1] == 0.0
+        assert evaluations == 1 + iterations + halvings and damped == iterations > 0
+
+        fallbacks.clear()
+        ses = _standard_errors(-hess)
+        assert 2 in fallbacks  # the stacked inverse raised LinAlgError
+        assert np.all(np.isnan(ses[0]))
+        assert ses[1].tobytes() == _standard_errors(-alone_hess)[0].tobytes()
+
+    def test_non_finite_start_fails_only_its_problem(self):
+        def fun(theta, w):
+            ll, grad, hess, ok = _quadratic(theta, np.ones_like(w))
+            return np.where(w > 0, ll, -np.inf), grad, hess, ok
+
+        calls = []
+        theta, _, (bad, good) = _newton_maximize(_counted(fun, calls), np.zeros((2, 2)),
+                                                 (np.array([0.0, 1.0]),), "test problem")
+        assert isinstance(bad, ConvergenceError) and "starting values" in str(bad)
+        assert calls == [2, 1]  # the failed problem is evaluated once: 1 + 0 + 0
+        _, _, (alone,) = _newton_maximize(_quadratic, np.zeros((1, 2)), (np.array([1.0]),), "test problem")
+        assert good == alone
+        assert good[2][1] == 1 + good[2][0] + good[2][2]
+
+    def test_iteration_limit(self):
+        # log-likelihood t rises without bound, and a positive curvature
+        # sends every step down the damped gradient
+        def fun(theta):
+            S = theta.shape[0]
+            return theta[:, 0].copy(), np.ones((S, 1)), np.ones((S, 1, 1)), np.ones(S, dtype=bool)
+
+        calls = []
+        _, _, (outcome,) = _newton_maximize(_counted(fun, calls), np.zeros((1, 1)), (), "test problem")
+        assert isinstance(outcome, ConvergenceError)
+        assert f"no convergence after {_MAX_ITERATIONS} iterations" in str(outcome)
+        assert len(calls) == 1 + _MAX_ITERATIONS + 0  # every step accepted
+
+    def test_stop_when_every_halving_is_rejected(self):
+        # a flat log-likelihood whose gradient never falls: no candidate
+        # is accepted, and the fit ends where it started
+        def fun(theta):
+            S = theta.shape[0]
+            return np.zeros(S), np.ones((S, 1)), -np.ones((S, 1, 1)), np.ones(S, dtype=bool)
+
+        calls = []
+        theta, _, (outcome,) = _newton_maximize(_counted(fun, calls), np.zeros((1, 1)), (), "test problem")
+        assert outcome == (0.0, 1.0, (0, _MAX_HALVINGS + 2, _MAX_HALVINGS + 1, 0))
+        assert len(calls) == 1 + 0 + _MAX_HALVINGS + 1
+        assert theta[0, 0] == 0.0
+
+
 def _bits(fit):
     """Everything a fit reports, as raw bytes plus its counts."""
     model = fit.model
@@ -715,6 +823,20 @@ class TestFitOutcome:
         data = _dataset([0.1, 0.2, 0.3, 0.4], [0, 1, 0, 1], [1, 1, 3, 3], J=3)
         with pytest.raises(DegenerateDataError, match="2"):
             fit_outcome(data)
+
+    def test_missing_level_list_is_bounded(self):
+        data = _dataset(np.linspace(0, 1, 45), np.arange(45) % 2, np.arange(45) % 3 + 1, J=40)
+        with pytest.raises(DegenerateDataError, match=r"level\(s\) 4, 5, .*, 13 and 27 more never observed"):
+            fit_outcome(data)
+
+    def test_more_levels_than_records_fail_every_problem_at_once(self):
+        # J = 10**6 on 6 records: one short error, before any per-level array
+        data = _dataset([0.1, 0.4, 0.9, 1.3, 0.6, 1.9], [0, 1, 0, 1, 0, 1], [1, 2, 2, 1, 2, 1], J=10**6)
+        with pytest.raises(DegenerateDataError, match="only 6 records") as err:
+            fit_outcome(data)
+        assert len(str(err.value)) < 200
+        errors = _fit_outcomes(_Stack.of([data, data]))
+        assert all(isinstance(e, DegenerateDataError) for e in errors)
 
     def test_covariate_fit_recovers(self):
         mediator = MediatorModel(-1.0, 0.5, (0.4,))

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ordmed.inference
 from ordmed import (
+    DegenerateDataError,
     EffectQuery,
     MediatorModel,
+    ModelSpecError,
     OutcomeModel,
     SimulationDesign,
     bootstrap_effects,
@@ -163,6 +166,26 @@ class TestBootstrapEffects:
             bootstrap_effects(data, QUERY, 0, seed=1)
         with pytest.raises(ValueError):
             bootstrap_effects(data, QUERY, 10, level=1.2, seed=1)
+
+    @pytest.mark.parametrize("B, seed", [(2.5, 1), (10, 1.5), (10, -1), (10, 2**64), (10, None)])
+    def test_whole_number_rules(self, B, seed):
+        # the seed rule of SimulationDesign: a whole number in [0, 2**64)
+        with pytest.raises(ModelSpecError, match="B" if B == 2.5 else "seed"):
+            bootstrap_effects(_study_dataset(40, seed=88), QUERY, B, seed=seed)
+
+    def test_largest_seed_accepted(self):
+        result = bootstrap_effects(_study_dataset(60, seed=88), QUERY, 2.0, seed=2**64 - 1)
+        assert result.B == 2
+
+    def test_every_resample_failing_raises(self, monkeypatch):
+        # no interval can be formed, so there is no result to flag
+        def all_fail(stack):
+            S, _, p = stack.covariates.shape
+            return np.empty((0, 2 + p)), np.empty((0, stack.J + 2 + p)), [DegenerateDataError("forced")] * S
+
+        monkeypatch.setattr(ordmed.inference, "_fit_pairs", all_fail)
+        with pytest.raises(DegenerateDataError, match="all 20 bootstrap resamples failed"):
+            bootstrap_effects(_study_dataset(60, seed=88), QUERY, 20, seed=1)
 
     def test_sparse_pipeline_agrees_with_published_scale(self):
         # the published sparse-example dataset is not distributed, so a fresh

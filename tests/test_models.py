@@ -13,6 +13,7 @@ from ordmed import (
     DataValidationError,
     Dataset,
     DimensionError,
+    MediationError,
     MediatorModel,
     ModelSpecError,
     OutcomeModel,
@@ -97,6 +98,19 @@ class TestCumulativeProbability:
         with pytest.raises(ValueError):
             cumulative_probability(J3_OUTCOME, 1, 1.0, 2)
 
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), "a"])
+    def test_query_point_must_be_finite(self, x):
+        # the rule of every other real input, not a NaN probability
+        with pytest.raises(ModelSpecError, match="x must be"):
+            cumulative_probability(J3_OUTCOME, 1, x, 0)
+        with pytest.raises(ModelSpecError, match="x must be"):
+            mediator_probability(MediatorModel(0.0, 1.0), x)
+
+    @pytest.mark.parametrize("j", [1.5, "1"])
+    def test_level_must_be_whole(self, j):
+        with pytest.raises(ModelSpecError, match="threshold index j"):
+            cumulative_probability(J3_OUTCOME, j, 1.0, 0)
+
 
 class TestCategoryProbabilities:
     def test_binary_symmetric(self):
@@ -145,6 +159,14 @@ class TestModelConstruction:
         with pytest.raises(ModelSpecError):
             OutcomeModel((0.0,), 0.0, 0.0, 0.0, text)
 
+    @pytest.mark.parametrize("bad", ["a", None, 10**400, (1.0,)], ids=["text", "none", "huge", "tuple"])
+    def test_non_numbers_rejected_as_specification_errors(self, bad):
+        # one rule for every real parameter: no TypeError or OverflowError leaks
+        with pytest.raises(ModelSpecError, match="gamma0"):
+            MediatorModel(bad, 0.0)
+        with pytest.raises(ModelSpecError, match="betaX"):
+            OutcomeModel((0.0,), bad, 0.0, 0.0)
+
     def test_levels_property(self):
         assert J3_OUTCOME.J == 3
         assert OutcomeModel((0.0,), 0, 0, 0).J == 2
@@ -192,6 +214,42 @@ class TestValidateDataset:
     def test_empty_input(self):
         with pytest.raises(DataValidationError):
             validate_dataset([], J=2)
+
+    def test_levels_inferred_from_the_largest_outcome(self):
+        rows = [(0.1, 0, 1), (0.2, 1, 3), (0.3, 0, 2), (0.4, 1, "1")]
+        data = validate_dataset(rows)
+        assert data.J == 3
+        assert np.array_equal(data.y, validate_dataset(rows, J=3).y)
+
+    @pytest.mark.parametrize("y", ["inf", "1e300", 1e300, 4, "2.5", "0"])
+    def test_inferred_levels_need_whole_outcomes_up_to_the_record_count(self, y):
+        # without J, a y above the record count could never leave every
+        # level observed, so it is rejected with the row and the field
+        rows = [(0.1, 0, 1), (0.2, 1, 2), (0.3, 0, y)]
+        with pytest.raises(DataValidationError) as err:
+            validate_dataset(rows)
+        assert [problem[:2] for problem in err.value.problems] == [(2, "y")]
+
+    def test_inferred_levels_need_two_levels(self):
+        with pytest.raises(ModelSpecError, match="J must be"):
+            validate_dataset([(0.1, 0, 1), (0.2, 1, 1)])
+
+    def test_empty_input_without_levels(self):
+        with pytest.raises(DataValidationError, match="dataset is empty"):
+            validate_dataset([])
+
+    @pytest.mark.parametrize("J, p", [(2.5, 0), (1, 0), (10**30, 0), ("x", 0), (3, -1), (3, 0.5)],
+                             ids=["J-fraction", "J-one", "J-huge", "J-text", "p-negative", "p-fraction"])
+    def test_levels_and_covariate_count_are_whole_numbers(self, J, p):
+        with pytest.raises(ModelSpecError):
+            validate_dataset([(0.1, 0, 1)], J=J, p=p)
+
+    def test_levels_beyond_the_outcome_storage_fail_cleanly(self):
+        with pytest.raises(MediationError):
+            validate_dataset([(0.1, 0, 1e20)], J=10**30)
+
+    def test_whole_float_levels_accepted(self):
+        assert validate_dataset([(0.1, 0, 1), (0.2, 1, 2)], J=2.0).J == 2
 
     def test_dataset_arrays_read_only(self):
         data = validate_dataset([(0.1, 0, 1), (0.2, 1, 2)], J=2)

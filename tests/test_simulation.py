@@ -122,6 +122,30 @@ class TestSimulateDataset:
             SimulationDesign(n=10, mean_x=0, sd_x=1, mediator=MediatorModel(0, 0, (1.0,)),
                              outcome=J3_OUTCOME, seed=1)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("n", 2.7), ("n", "ten"), ("seed", 1.5), ("seed", 2**64), ("seed", -1),
+        ("mean_x", "a"), ("mean_x", float("nan")), ("sd_x", float("inf")), ("sd_x", None),
+    ])
+    def test_whole_and_finite_rules(self, field, bad):
+        # no value is truncated, and no TypeError leaks
+        design = dict(n=10, mean_x=0, sd_x=1, mediator=J3_MEDIATOR, outcome=J3_OUTCOME, seed=1)
+        with pytest.raises(ModelSpecError, match=field):
+            SimulationDesign(**{**design, field: bad})
+
+    @pytest.mark.parametrize("means, sds", [(("a",), (1.0,)), ((float("nan"),), (1.0,)),
+                                            ((0.0,), (float("inf"),)), ((0.0,), (0.0,)), ((0.0,), ())])
+    def test_covariate_generator_rules(self, means, sds):
+        with pytest.raises(ModelSpecError):
+            SimulationDesign(n=10, mean_x=0, sd_x=1, mediator=MediatorModel(0, 0, (1.0,)),
+                             outcome=OutcomeModel((0.0,), 0, 0, 0, (1.0,)), seed=1,
+                             cov_means=means, cov_sds=sds)
+
+    def test_whole_values_accepted_at_the_bounds(self):
+        design = SimulationDesign(n=10.0, mean_x=0, sd_x=1, mediator=J3_MEDIATOR, outcome=J3_OUTCOME,
+                                  seed=np.uint64(2**64 - 1))
+        assert (design.n, design.seed) == (10, 2**64 - 1)
+        assert type(design.n) is int and type(design.seed) is int
+
     def test_rng_info_declares_methods(self):
         assert "Philox" in RNG_INFO["bit_generator"]
         assert "AS 241" in RNG_INFO["normal_method"]
@@ -242,6 +266,8 @@ class TestMonteCarloStudy:
     def test_replications_validated(self):
         with pytest.raises(ValueError):
             monte_carlo_study(SPARSE_DESIGN, 0, QUERY)
+        with pytest.raises(ModelSpecError, match="replications"):
+            monte_carlo_study(SPARSE_DESIGN, 2.5, QUERY)
 
     def test_query_dimension_checked(self):
         with pytest.raises(DimensionError):
