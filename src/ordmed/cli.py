@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import re
@@ -34,8 +35,8 @@ from . import __version__
 from .effects import EffectQuery, EffectTable, effect_labels, effect_table
 from .estimation import FitResult, fit_mediator, fit_outcome, parameter_labels
 from .exceptions import ConsistencyError, ConvergenceError, MediationError
-from .inference import bootstrap_effects
-from .models import MediatorModel, OutcomeModel, _parameters, validate_dataset
+from .inference import _level, bootstrap_effects
+from .models import MediatorModel, OutcomeModel, _parameters, _seed, validate_dataset
 from .simulation import RNG_INFO, SimulationDesign, monte_carlo_study, simulate_dataset
 
 EXIT_OK = 0
@@ -76,6 +77,22 @@ def main(argv=None):
     except (CliError, MediationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+
+
+def run(argv=None):
+    """``main(argv)``'s exit status, for a process that ends right after it.
+
+    ``gc.freeze()`` moves every live object into the permanent generation,
+    which the interpreter's collections at exit never visit: they would walk
+    the tens of thousands of objects numpy and the run left alive just
+    before the process gives all its memory back. Nothing written depends
+    on those passes: every output file is closed by its ``with`` block
+    before ``main`` returns, and stdio is flushed before modules are torn
+    down. ``main`` itself leaves collection alone for in-process callers.
+    """
+    status = main(argv)
+    gc.freeze()
+    return status
 
 
 def build_parser():
@@ -173,6 +190,8 @@ def _load_params(path):
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CliError(f"parameter file {path}: invalid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise CliError(f"parameter file {path}: expected a JSON object")
     known = {"gamma0", "gammaX", "gammaC", "alpha", "betaX", "betaM", "betaXM", "betaC"}
     unknown = set(raw) - known
     if unknown:
@@ -350,6 +369,9 @@ def cmd_analyze(args, argv):
     """The full pipeline: validate, fit both models, effect table, bootstrap CIs."""
     if args.bootstrap and args.seed is None:
         raise CliError("--seed is required when the bootstrap runs (pass --bootstrap 0 to skip)")
+    if args.seed is not None:
+        _seed(args.seed)
+    _level(args.level)
     data = _dataset_from_args(args)
     query = _query_from_args(args)
 
@@ -412,6 +434,9 @@ def cmd_simulate(args, argv):
 def cmd_mc_study(args, argv):
     design = _design_from_args(args)
     query = _query_from_args(args)
+    raw_path = args.raw_out if args.raw_out else _sibling_path(args.out, "_raw.csv")
+    if Path(raw_path).resolve() == Path(args.out).resolve():
+        raise CliError(f"--raw-out {raw_path} is the --out file")
     summary = monte_carlo_study(design, args.replications, query)
 
     metadata = _metadata(argv, seed=design.seed, randomized=True, extra=[
@@ -438,7 +463,6 @@ def cmd_mc_study(args, argv):
         for e in payload["estimates"]
         for (eff, lvl), value in zip(summary.labels, e["values"])
     ]
-    raw_path = args.raw_out if args.raw_out else _sibling_path(args.out, "_raw.csv")
     _write_report(args, metadata, payload, [(args.out, payload["summary"]), (raw_path, raw)])
     return EXIT_OK
 
@@ -449,4 +473,4 @@ def _sibling_path(out, suffix):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -40,12 +40,18 @@ def quantile(sorted_sample, q):
     return float(s[lo] + (h - lo) * (s[hi] - s[lo]))
 
 
+def _level(value):
+    """A confidence level: a real number in (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {value!r}")
+    return value
+
+
 def percentile_interval(sample, level):
     """Equal-tailed percentile interval: ((1-level)/2, 1-(1-level)/2)
     empirical quantiles of ``sample``.  A constant sample yields a zero-width
     interval at that value."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level!r}")
+    level = _level(level)
     s = np.sort(np.asarray(sample, dtype=float))
     tail = (1.0 - level) / 2.0
     return quantile(s, tail), quantile(s, 1.0 - tail)
@@ -97,8 +103,7 @@ def bootstrap_effects(data: Dataset, query: EffectQuery, B, level=0.95, *, seed)
     """
     B = _whole(B, "B", 1)
     seed = _seed(seed)
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level!r}")
+    level = _level(level)
 
     point_mediator = fit_mediator(data)
     point_outcome = fit_outcome(data)

@@ -2,13 +2,18 @@
 round-trip between simulate/fit/effects and analyze."""
 
 import csv
+import gc
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ordmed.cli
 import ordmed.effects
 import ordmed.inference
 from ordmed import DegenerateDataError
@@ -30,6 +35,17 @@ J3_FLAGS = [
     "--alpha", "2.5,5.5",
     "--beta-x", "1.1", "--beta-m", "0.7", "--beta-xm", "0.5",
 ]
+
+# rare end categories: most bootstrap resamples lose an outcome level
+RARE_END_FLAGS = [
+    "--n", "30", "--mean-x", "0", "--sd-x", "1",
+    "--gamma0", "0", "--gamma-x", "0", "--alpha", "-3.2,3.2",
+    "--beta-x", "0.3", "--beta-m", "0.2", "--beta-xm", "0",
+]
+# m = 1 exactly when x > 0: the mediator fit is separated
+SEPARATED_ROWS = "x,m,y\n" + "".join(
+    f"{x},{int(x > 0)},{1 + i % 2}\n" for i, x in ((i, -0.0005 + i * 0.00005) for i in range(20))
+)
 
 
 def read_csv(path):
@@ -205,12 +221,8 @@ class TestFitCommand:
         assert set(payload["outcome_fit"]["parameters"]) == {"alpha1", "alpha2", "betaX", "betaM", "betaXM"}
 
     def test_separated_data_exits_convergence(self, tmp_path, capsys):
-        rows = ["x,m,y"]
-        for i in range(20):
-            x = -0.0005 + i * 0.00005
-            rows.append(f"{x},{int(x > 0)},{1 + i % 2}")
         data_csv = tmp_path / "sep.csv"
-        data_csv.write_text("\n".join(rows) + "\n")
+        data_csv.write_text(SEPARATED_ROWS)
         code = main(["fit", "--data", str(data_csv), "--out", str(tmp_path / "fit.csv")])
         assert code == EXIT_CONVERGENCE
 
@@ -249,8 +261,6 @@ class TestAnalyzeCommand:
     def test_bootstrap_reuses_its_full_data_fits(self, tmp_path, monkeypatch):
         # with the bootstrap on, the point fits come from bootstrap_effects;
         # analyze must not fit the full data a second time
-        import ordmed.cli
-
         data_csv = tmp_path / "data.csv"
         main(["simulate", *SPARSE_FLAGS, "--seed", "7", "--out", str(data_csv)])
         argv = ["analyze", "--data", str(data_csv), "--x", "3.5", "--xstar", "2",
@@ -302,10 +312,7 @@ class TestAnalyzeCommand:
     def test_unreliable_bootstrap_exit_code(self, tmp_path):
         # rare end categories: most resamples lose an outcome level
         data_csv = tmp_path / "data.csv"
-        main(["simulate", "--n", "30", "--mean-x", "0", "--sd-x", "1",
-              "--gamma0", "0", "--gamma-x", "0", "--alpha", "-3.2,3.2",
-              "--beta-x", "0.3", "--beta-m", "0.2", "--beta-xm", "0",
-              "--seed", "24", "--out", str(data_csv)])
+        main(["simulate", *RARE_END_FLAGS, "--seed", "24", "--out", str(data_csv)])
         out = tmp_path / "report.json"
         code = main(["analyze", "--data", str(data_csv), "--x", "3.5", "--xstar", "2",
                      "--bootstrap", "40", "--seed", "101", "--format", "json", "--out", str(out)])
@@ -384,6 +391,18 @@ class TestMcStudyCommand:
         payload = json.loads(out.read_text())
         assert len(payload["summary"]) == 8
         assert len(payload["estimates"]) + len(payload["failed_replicates"]) == 5
+
+    def test_raw_out_may_not_be_the_summary_file(self, tmp_path, capsys, monkeypatch):
+        def study(*args):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(ordmed.cli, "monte_carlo_study", study)
+        out = tmp_path / "s.csv"
+        code = main(["mc-study", *J3_FLAGS, "--replications", "5", "--x", "3.5", "--xstar", "2",
+                     "--seed", "5", "--out", str(out), "--raw-out", f"{tmp_path}/sub/../s.csv"])
+        assert code == EXIT_VALIDATION
+        assert "is the --out file" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_full_scale_study_reproduces_published_columns(self, tmp_path):
         # 1000 replicates of the J=3 study through the CLI: summary means
@@ -515,6 +534,20 @@ class TestInputRules:
         assert code == EXIT_VALIDATION
         assert f"seed must be a whole number in [0, {2**64})" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, reason", [
+        (["--seed", "-1"], f"seed must be a whole number in [0, {2**64})"),
+        (["--level", "1.5"], "level must lie in (0, 1), got 1.5"),
+    ])
+    def test_analyze_checks_seed_and_level_without_the_bootstrap(self, tmp_path, capsys, flags, reason):
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text(SIX_ROWS)
+        out = tmp_path / "r.csv"
+        code = main(["analyze", "--data", str(data_csv), "--x", "1", "--xstar", "0",
+                     "--bootstrap", "0", *flags, "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
+
     def test_more_levels_than_records_fail_fast(self, tmp_path, capsys):
         data_csv = tmp_path / "data.csv"
         data_csv.write_text(SIX_ROWS)
@@ -559,6 +592,14 @@ class TestInputRules:
         code = main(["effects", "--params", str(bad), "--x", "1", "--xstar", "0", "--out", str(tmp_path / "e.csv")])
         assert code == EXIT_VALIDATION
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["5", "[1, 2]", '"gamma0"'])
+    def test_parameter_file_must_be_an_object(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = main(["effects", "--params", str(bad), "--x", "1", "--xstar", "0", "--out", str(tmp_path / "e.csv")])
+        assert code == EXIT_VALIDATION
+        assert f"parameter file {bad}: expected a JSON object" in capsys.readouterr().err
 
     def test_all_failed_bootstrap_exits_validation_without_a_report(self, tmp_path, capsys, monkeypatch):
         # exit 3 flags a written report; with every resample failed there is
@@ -673,3 +714,69 @@ class TestFormatParity:
             for estimate in payload["estimates"]
             for (effect, level), value in zip(labels, estimate["values"])
         ])
+
+
+class TestProcessEntry:
+    """``python -m ordmed.cli`` ends through ``run``: the exit codes and the
+    output bytes are those of ``main`` in-process."""
+
+    def process(self, argv, python_args=("-m", "ordmed.cli")):
+        src = str(Path(ordmed.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, *python_args, *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    def assert_same_outputs(self, argv, outputs, code):
+        assert self.process(argv).returncode == code
+        written = [path.read_bytes() for path in outputs]
+        for path in outputs:
+            path.unlink()
+        assert main(argv) == code
+        assert [path.read_bytes() for path in outputs] == written
+
+    def test_successes_write_the_in_process_bytes(self, tmp_path):
+        data_csv = tmp_path / "data.csv"
+        self.assert_same_outputs(["simulate", *SPARSE_FLAGS, "--seed", "7", "--out", str(data_csv)],
+                                 [data_csv], EXIT_OK)
+        out = tmp_path / "report.csv"
+        self.assert_same_outputs(["analyze", "--data", str(data_csv), "--x", "3.5", "--xstar", "2",
+                                  "--bootstrap", "32", "--seed", "17", "--out", str(out)],
+                                 [out, tmp_path / "report_params.csv"], EXIT_OK)
+
+    def test_unreliable_bootstrap_writes_the_in_process_report(self, tmp_path):
+        data_csv = tmp_path / "data.csv"
+        main(["simulate", *RARE_END_FLAGS, "--seed", "24", "--out", str(data_csv)])
+        out = tmp_path / "report.json"
+        self.assert_same_outputs(["analyze", "--data", str(data_csv), "--x", "3.5", "--xstar", "2",
+                                  "--bootstrap", "40", "--seed", "101", "--format", "json", "--out", str(out)],
+                                 [out], EXIT_UNRELIABLE)
+
+    def test_failures_exit_with_their_codes(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("5")
+        proc = self.process(["effects", "--params", str(bad), "--x", "1", "--xstar", "0",
+                             "--out", str(tmp_path / "e.csv")])
+        assert proc.returncode == EXIT_VALIDATION
+        assert "expected a JSON object" in proc.stderr
+
+        data_csv = tmp_path / "sep.csv"
+        data_csv.write_text(SEPARATED_ROWS)
+        proc = self.process(["fit", "--data", str(data_csv), "--out", str(tmp_path / "fit.csv")])
+        assert proc.returncode == EXIT_CONVERGENCE
+        assert proc.stderr.startswith("error: ")
+        assert not (tmp_path / "fit.csv").exists()
+
+    def test_module_entry_freezes_the_heap_before_exit(self, tmp_path):
+        script = ("import atexit, gc, runpy, sys\n"
+                  "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+                  "runpy.run_module('ordmed.cli', run_name='__main__', alter_sys=True)\n")
+        proc = self.process(["effects", "--params", str(DATA_DIR / "params_j3.json"), "--x", "3.5",
+                             "--xstar", "2", "--out", str(tmp_path / "e.csv")], python_args=("-c", script))
+        assert proc.returncode == EXIT_OK
+        assert int(proc.stderr.split("frozen ")[1]) > 10000
+
+    def test_main_leaves_collection_alone(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        assert main(["effects", "--params", str(DATA_DIR / "params_j3.json"),
+                     "--x", "3.5", "--xstar", "2", "--out", str(tmp_path / "e.csv")]) == EXIT_OK
+        assert gc.get_freeze_count() == frozen
