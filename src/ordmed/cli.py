@@ -132,7 +132,7 @@ def build_parser():
     _add_query_args(mc)
     _add_output_args(mc)
     mc.add_argument("--raw-out", default=None,
-                    help="per-replicate estimates CSV (default: <out stem>_raw.csv)")
+                    help="per-replicate estimates CSV, under --format csv only (default: <out stem>_raw.csv)")
     mc.set_defaults(handler=cmd_mc_study)
 
     return parser
@@ -199,13 +199,8 @@ def _load_params(path):
     missing = {"gamma0", "gammaX", "alpha", "betaX", "betaM", "betaXM"} - set(raw)
     if missing:
         raise CliError(f"parameter file {path}: missing field(s) {sorted(missing)}")
-    mediator = MediatorModel(raw["gamma0"], raw["gammaX"], raw.get("gammaC", ()))
-    outcome = OutcomeModel(raw["alpha"], raw["betaX"], raw["betaM"], raw["betaXM"], raw.get("betaC", ()))
-    if mediator.p != outcome.p:
-        raise CliError(
-            f"parameter file {path}: gammaC has {mediator.p} entries but betaC has {outcome.p}"
-        )
-    return mediator, outcome
+    return (MediatorModel(raw["gamma0"], raw["gammaX"], raw.get("gammaC", ())),
+            OutcomeModel(raw["alpha"], raw["betaX"], raw["betaM"], raw["betaXM"], raw.get("betaC", ())))
 
 
 def _read_data_csv(path):
@@ -434,6 +429,8 @@ def cmd_simulate(args, argv):
 def cmd_mc_study(args, argv):
     design = _design_from_args(args)
     query = _query_from_args(args)
+    if args.raw_out and args.format == "json":
+        raise CliError("--raw-out applies to --format csv only; --format json holds every estimate in the --out file")
     raw_path = args.raw_out if args.raw_out else _sibling_path(args.out, "_raw.csv")
     if Path(raw_path).resolve() == Path(args.out).resolve():
         raise CliError(f"--raw-out {raw_path} is the --out file")

@@ -17,10 +17,11 @@ result for one problem does not depend on the rest of the stack (elementwise
 arithmetic, reductions over the last axis, stacked matrix products and
 solves, and ``bincount`` over per-problem offset indices), so a problem's
 trajectory and result are bitwise the same in a stack of any size.  A single
-fit is a stack of one; the bootstrap and the Monte Carlo study fit their
-resamples and replicates in stacks of 16 and take the parameter rows, so only
-a single fit builds a FitResult.  Failures are recorded per problem and never
-stop the rest of the stack.
+fit is a stack of one.  One error list, indexed by stack position, serves
+both fits of a stack: the data checks and then the engine record into it,
+the engine runs only the problems without an error, and a failure never
+stops the rest of the stack.  The drivers take the parameter rows, so only
+a single fit builds a FitResult.
 
 The proportional-odds log-likelihood, score and Hessian come from one
 array-valued kernel over all records; its derivatives are written in density
@@ -59,11 +60,6 @@ _LOGLIK_RTOL = 1e-12
 _MAX_ITERATIONS = 100
 _MAX_HALVINGS = 30
 _DIVERGENCE_NORM = 1e3
-
-# Problems per stack in the bootstrap and the Monte Carlo study: enough to
-# spread numpy's fixed cost per call over many fits, few enough that the
-# stacked arrays stay small beside the rest of a run's memory.
-_STACK_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -119,9 +115,6 @@ class _Stack(NamedTuple):
     def of(cls, datasets):
         return cls(*(np.array([getattr(d, f) for d in datasets]) for f in ("x", "m", "y", "covariates")),
                    datasets[0].J)
-
-    def take(self, rows):
-        return _Stack(self.x[rows], self.m[rows], self.y[rows], self.covariates[rows], self.J)
 
 
 def loglik_mediator(model: MediatorModel, data: Dataset):
@@ -200,17 +193,17 @@ def _fit_pairs(stack: _Stack):
     parameter rows of the mediator fits and of the outcome fits of the
     datasets that both fits succeed on, in stack order, and per dataset None
     or the error that ``fit_mediator`` and then ``fit_outcome`` raise on it."""
-    errors, ok, gamma, _, _ = _solve_mediators(stack)
-    outcome_errors, fitted, beta, _, _ = _solve_outcomes(stack if len(ok) == len(errors) else stack.take(ok))
-    for s, error in zip(ok, outcome_errors):
-        errors[s] = error
-    return gamma[fitted], beta, errors
+    errors = [None] * len(stack.y)
+    gamma, _ = _solve_mediators(stack, errors)
+    beta, _ = _solve_outcomes(stack, errors)
+    ok = [error is None for error in errors]
+    return gamma[ok], beta[ok], errors
 
 
 def _fit_mediators(stack: _Stack):
     """fit_mediator on each dataset of a stack: per dataset, a FitResult or
     the error."""
-    return _fit_results(*_solve_mediators(stack), lambda t: MediatorModel(t[0], t[1], tuple(t[2:])))
+    return _fit_results(stack, _solve_mediators, lambda t: MediatorModel(t[0], t[1], tuple(t[2:])))
 
 
 def _fit_outcomes(stack: _Stack):
@@ -218,86 +211,92 @@ def _fit_outcomes(stack: _Stack):
     the error."""
     K = stack.J - 1
     return _fit_results(
-        *_solve_outcomes(stack), lambda t: OutcomeModel(tuple(t[:K]), t[K], t[K + 1], t[K + 2], tuple(t[K + 3:]))
+        stack, _solve_outcomes, lambda t: OutcomeModel(tuple(t[:K]), t[K], t[K + 1], t[K + 2], tuple(t[K + 3:]))
     )
 
 
-def _fit_results(errors, ok, theta, hess, stats, model_of):
-    # the FitResult of each problem ``ok`` of a _solve, with model_of(theta)
-    # as its model, in place of its None in ``errors``
-    for s, row, ses, (ll, gnorm, (iterations, evaluations, halvings, fallback_steps)) in zip(
-        ok, theta, _standard_errors(-hess), stats
-    ):
-        errors[s] = FitResult(model_of(row), ll, gnorm, iterations, tuple(ses), evaluations, halvings, fallback_steps)
+def _fit_results(stack, solve, model_of):
+    # per dataset, the error that solve(stack, errors) records or the
+    # FitResult of its fit, with model_of(theta) as its model
+    errors = [None] * len(stack.y)
+    theta, fits = solve(stack, errors)
+    for s, fit in enumerate(fits):
+        if fit:
+            hess, ll, gnorm, (iterations, evaluations, halvings, fallback_steps) = fit
+            ses = _standard_errors(-hess[None])[0]
+            errors[s] = FitResult(model_of(theta[s]), ll, gnorm, iterations, tuple(ses), evaluations, halvings,
+                                  fallback_steps)
     return errors
 
 
-def _solve_mediators(stack: _Stack):
-    both = ((stack.m == 0).any(axis=1) & (stack.m == 1).any(axis=1)).tolist()
-    errors = [
-        None if ok else DegenerateDataError("mediator takes a single value; need both M=0 and M=1 to fit")
-        for ok in both
-    ]
+def _solve_mediators(stack: _Stack, errors):
+    both = (stack.m == 0).any(axis=1) & (stack.m == 1).any(axis=1)
+    _fail(errors, ~both, lambda s: DegenerateDataError("mediator takes a single value; need both M=0 and M=1 to fit"))
     Z = _mediator_design(stack)
-    live = _full_rank(Z, errors, "mediator design matrix (1, x, c)")
-    return _solve(errors, live, _bernoulli_parts, np.zeros((len(live), Z.shape[2])),
+    _full_rank(Z, errors, "mediator design matrix (1, x, c)")
+    return _solve(errors, _bernoulli_parts, np.zeros((errors.count(None), Z.shape[2])),
                   (Z, stack.m.astype(float)), "mediator model")
 
 
-def _solve_outcomes(stack: _Stack):
+def _solve_outcomes(stack: _Stack, errors):
     S, n = stack.y.shape
     J = stack.J
     K = J - 1
     W = _outcome_design(stack)
     if J > n:  # some level is never observed: fail before counting J cells per problem
         error = DegenerateDataError(f"{J} outcome levels but only {n} records; every level must appear at least once")
-        return _solve([error] * S, [], None, np.empty((0, K + W.shape[2])), (), "outcome model")
+        _fail(errors, np.ones(S, dtype=bool), lambda s: error)
+        return _solve(errors, None, np.empty((0, K + W.shape[2])), (), "outcome model")
     counts = np.bincount(
         (stack.y + np.arange(0, S * (J + 1), J + 1)[:, None]).ravel(), minlength=S * (J + 1)
     ).reshape(S, J + 1)[:, 1:]
-    errors = [None] * S
-    for s in np.flatnonzero((counts == 0).any(axis=1)):
+
+    def missing_levels(s):
         missing = (np.flatnonzero(counts[s] == 0) + 1).tolist()
         more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
-        errors[s] = DegenerateDataError(
+        return DegenerateDataError(
             f"outcome level(s) {', '.join(map(str, missing[:10]))}{more} never observed; "
             f"every level 1..{J} must appear at least once"
         )
-    live = _full_rank(
-        np.concatenate([np.ones((S, n, 1)), W], axis=2), errors, "outcome design matrix (1, x, m, x*m, c)"
-    )
-    cum = np.cumsum(counts[live], axis=1)[:, :-1] / n
-    theta0 = np.concatenate([np.log(cum / (1.0 - cum)), np.zeros((len(live), W.shape[2]))], axis=1)
-    return _solve(errors, live, lambda theta, W, y: _proportional_odds_parts(theta[:, :K], theta[:, K:], W, y, J),
+
+    _fail(errors, (counts == 0).any(axis=1), missing_levels)
+    _full_rank(np.concatenate([np.ones((S, n, 1)), W], axis=2), errors, "outcome design matrix (1, x, m, x*m, c)")
+    cum = np.cumsum(counts[[error is None for error in errors]], axis=1)[:, :-1] / n
+    theta0 = np.concatenate([np.log(cum / (1.0 - cum)), np.zeros((len(cum), W.shape[2]))], axis=1)
+    return _solve(errors, lambda theta, W, y: _proportional_odds_parts(theta[:, :K], theta[:, K:], W, y, J),
                   theta0, (W, stack.y), "outcome model")
 
 
+def _fail(errors, mask, error_of):
+    """Record error_of(s) for every problem s of ``mask`` that has no error yet."""
+    for s in np.flatnonzero(mask).tolist():
+        if errors[s] is None:
+            errors[s] = error_of(s)
+
+
 def _full_rank(designs, errors, what):
-    """Record a rank-deficiency error for every problem not yet failed whose
-    design is rank-deficient; return the problems still without an error."""
-    for s, rank in enumerate(np.linalg.matrix_rank(designs).tolist()):
-        if rank < designs.shape[2] and errors[s] is None:
-            errors[s] = DegenerateDataError(f"{what} is rank-deficient; parameters are not identifiable")
-    return [s for s, e in enumerate(errors) if e is None]
+    """Record a rank-deficiency error for every problem whose design is rank-deficient."""
+    _fail(errors, np.linalg.matrix_rank(designs) < designs.shape[2],
+          lambda s: DegenerateDataError(f"{what} is rank-deficient; parameters are not identifiable"))
 
 
-def _solve(errors, live, parts, theta0, args, what):
-    """Run the Newton engine on the problems ``live`` of a stack, starting
-    from the rows of theta0, and record the error of each one that fails in
-    ``errors``.  Returns ``errors``, the problems ``ok`` without an error (in
-    stack order), and their final parameter rows, Hessians and (loglik,
+def _solve(errors, parts, theta0, args, what):
+    """Run the Newton engine from the rows of theta0, one per problem without
+    an error yet (in stack order), and record each failure in ``errors``.
+    Returns the final parameter rows of the whole stack (zero where a problem
+    has an error) and per problem None or its final (Hessian, loglik,
     max |gradient|, counts)."""
-    if not live:
-        return errors, [], theta0, np.empty(theta0.shape + theta0.shape[1:]), []
-    rows = slice(None) if len(live) == len(errors) else live  # a view when every problem is live
-    theta, hess, outcomes = _newton_maximize(parts, theta0, tuple(a[rows] for a in args), what)
-    done = []
-    for i, outcome in enumerate(outcomes):
-        if isinstance(outcome, Exception):
-            errors[live[i]] = outcome
-        else:
-            done.append(i)
-    return errors, [live[i] for i in done], theta[done], hess[done], [outcomes[i] for i in done]
+    live = [s for s, error in enumerate(errors) if error is None]
+    theta = np.zeros((len(errors), theta0.shape[1]))
+    fits = [None] * len(errors)
+    if live:
+        theta[live], hess, outcomes = _newton_maximize(parts, theta0, tuple(a[live] for a in args), what)
+        for s, h, outcome in zip(live, hess, outcomes):
+            if isinstance(outcome, Exception):
+                errors[s] = outcome
+            else:
+                fits[s] = (h, *outcome)
+    return theta, fits
 
 
 # ----------------------------------------------------------------------

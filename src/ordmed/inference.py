@@ -4,11 +4,12 @@ Resampling is row-wise i.i.d. with replacement over full (x, m, y, c)
 records.  Each resample owns the stream keyed (seed, resample index), so
 results are bitwise reproducible and independent of evaluation order; the
 point estimate always comes from the full data, never from resamples.
+``_stacked_effects`` fits and evaluates the resamples, and the Monte Carlo
+study's replicates, 16 at a time and keeps each one's error by its index.
 
-Quantiles use linear interpolation between order statistics (the common
-"type 7" convention) throughout.  Only percentile intervals are provided;
-BCa or studentized intervals would be drop-in extensions of the same
-estimate collection but are intentionally not built.
+Quantiles use linear interpolation between order statistics ("type 7")
+throughout.  Only percentile intervals are provided; BCa or studentized
+intervals would extend the same estimate collection but are not built.
 """
 
 from __future__ import annotations
@@ -18,12 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effects import EffectQuery, EffectTable, _effect_rows, effect_labels, effect_table
-from .estimation import _STACK_SIZE, FitResult, _fit_pairs, _Stack, fit_mediator, fit_outcome
+from .estimation import FitResult, _fit_pairs, _Stack, fit_mediator, fit_outcome
 from .exceptions import DegenerateDataError
 from .models import Dataset, _seed, _whole
 from .numerics import keyed_stream
 
 _BOOTSTRAP_DOMAIN = 2
+
+# Problems per stack: enough to spread numpy's fixed cost per call over many
+# fits, few enough that the stacked arrays stay small beside a run's memory.
+_STACK_SIZE = 16
 
 
 def quantile(sorted_sample, q):
@@ -90,6 +95,26 @@ class BootstrapResult:
         return self.failures > self.B / 2
 
 
+def _stacked_effects(query: EffectQuery, count, stack_of):
+    """The effect rows of ``count`` problems, fitted and evaluated 16 at a
+    time: ``stack_of(ids)`` draws the datasets of the problems ``ids`` as a
+    stack.  Returns the rows of the problems that both fits succeed on, in
+    problem order, and per problem None or the error that failed it."""
+    rows, errors = [], []
+    for start in range(0, count, _STACK_SIZE):
+        mediators, outcomes, stack_errors = _fit_pairs(stack_of(range(start, min(start + _STACK_SIZE, count))))
+        rows.append(_effect_rows(query, mediators, outcomes))
+        errors += stack_errors
+    return np.concatenate(rows), errors
+
+
+def _sample_sd(estimates):
+    """Sample standard deviation of each column; NaN with fewer than two rows."""
+    if estimates.shape[0] < 2:
+        return np.full(estimates.shape[1], np.nan)
+    return estimates.std(axis=0, ddof=1)
+
+
 def bootstrap_effects(data: Dataset, query: EffectQuery, B, level=0.95, *, seed) -> BootstrapResult:
     """Percentile bootstrap of the full effect table.
 
@@ -109,25 +134,13 @@ def bootstrap_effects(data: Dataset, query: EffectQuery, B, level=0.95, *, seed)
     point_outcome = fit_outcome(data)
     point = effect_table(query, point_mediator.model, point_outcome.model)
 
-    rows = []
-    failures = 0
-    for start in range(0, B, _STACK_SIZE):
-        idx = np.stack([
-            keyed_stream(seed, _BOOTSTRAP_DOMAIN, b).integers(0, data.n, size=data.n)
-            for b in range(start, min(start + _STACK_SIZE, B))
-        ])
-        resamples = _Stack(data.x[idx], data.m[idx], data.y[idx], data.covariates[idx], data.J)
-        mediators, outcomes, errors = _fit_pairs(resamples)
-        rows.append(_effect_rows(query, mediators, outcomes))
-        failures += len(errors) - len(mediators)
+    def resamples(ids):
+        idx = np.stack([keyed_stream(seed, _BOOTSTRAP_DOMAIN, b).integers(0, data.n, size=data.n) for b in ids])
+        return _Stack(data.x[idx], data.m[idx], data.y[idx], data.covariates[idx], data.J)
 
-    estimates = np.concatenate(rows)
+    estimates, _ = _stacked_effects(query, B, resamples)
     if not estimates.shape[0]:
         raise DegenerateDataError(f"all {B} bootstrap resamples failed; no interval can be formed")
-    if estimates.shape[0] >= 2:
-        boot_sd = estimates.std(axis=0, ddof=1)
-    else:
-        boot_sd = np.full(estimates.shape[1], np.nan)
     bounds = [percentile_interval(estimates[:, k], level) for k in range(estimates.shape[1])]
     ci_lower = np.array([lo for lo, _ in bounds])
     ci_upper = np.array([hi for _, hi in bounds])
@@ -135,12 +148,12 @@ def bootstrap_effects(data: Dataset, query: EffectQuery, B, level=0.95, *, seed)
     return BootstrapResult(
         point=point,
         labels=effect_labels(data.J),
-        boot_sd=boot_sd,
+        boot_sd=_sample_sd(estimates),
         ci_lower=ci_lower,
         ci_upper=ci_upper,
         B=B,
         level=float(level),
-        failures=failures,
+        failures=B - estimates.shape[0],
         estimates=estimates,
         mediator_fit=point_mediator,
         outcome_fit=point_outcome,

@@ -8,8 +8,9 @@ produced by inverse transform (AS 241 quantile applied to 53-bit uniforms);
 the method is recorded in RNG_INFO so output metadata can state it.
 
 Datasets are drawn in stacks: each draws its uniforms from its own streams,
-then every transform runs once on the stacked arrays.  The Monte Carlo study
-draws its replicates 16 at a time, and ``simulate_dataset`` is a stack of one.
+then every transform runs once on the stacked arrays, and ``simulate_dataset``
+is a stack of one.  The Monte Carlo study's replicates go through the
+bootstrap's driver, ``inference._stacked_effects``, 16 at a time.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .effects import EffectQuery, _effect_rows, effect_labels
-from .estimation import _STACK_SIZE, _fit_pairs, _Stack
+from .effects import EffectQuery, effect_labels
+from .estimation import _Stack
 from .exceptions import DegenerateDataError, DimensionError, ModelSpecError
+from .inference import _sample_sd, _stacked_effects
 from .models import (
     Dataset,
     MediatorModel,
@@ -170,9 +172,7 @@ class MonteCarloSummary:
     def sd(self):
         """Sample standard deviation per entry; NaN (absent) with fewer than
         two successful replicates."""
-        if self.estimates.shape[0] < 2:
-            return np.full(self.estimates.shape[1], np.nan)
-        return self.estimates.std(axis=0, ddof=1)
+        return _sample_sd(self.estimates)
 
 
 def monte_carlo_study(design: SimulationDesign, replications, query: EffectQuery) -> MonteCarloSummary:
@@ -189,26 +189,17 @@ def monte_carlo_study(design: SimulationDesign, replications, query: EffectQuery
     if len(query.c) != design.p:
         raise DimensionError(f"query has {len(query.c)} covariate(s) but design has {design.p}")
 
-    rows = []
-    ok_ids = []
-    failed = []
-    for start in range(0, replications, _STACK_SIZE):
-        ids = range(start, min(start + _STACK_SIZE, replications))
-        mediators, outcomes, errors = _fit_pairs(
-            _simulate_stack(design, [replicate_seed(design.seed, r) for r in ids])
-        )
-        rows.append(_effect_rows(query, mediators, outcomes))
-        for r, error in zip(ids, errors):
-            (ok_ids if error is None else failed).append(r)
-
-    if not ok_ids:
+    estimates, errors = _stacked_effects(
+        query, replications, lambda ids: _simulate_stack(design, [replicate_seed(design.seed, r) for r in ids])
+    )
+    if not estimates.shape[0]:
         raise DegenerateDataError(f"all {replications} replicates failed to fit")
     return MonteCarloSummary(
         design=design,
         query=query,
         replications=replications,
         labels=effect_labels(design.outcome.J),
-        estimates=np.concatenate(rows),
-        replicate_ids=tuple(ok_ids),
-        failed_replicates=tuple(failed),
+        estimates=estimates,
+        replicate_ids=tuple(r for r, error in enumerate(errors) if error is None),
+        failed_replicates=tuple(r for r, error in enumerate(errors) if error is not None),
     )

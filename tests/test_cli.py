@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -404,6 +405,20 @@ class TestMcStudyCommand:
         assert "is the --out file" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_raw_out_is_refused_under_json(self, tmp_path, capsys, monkeypatch):
+        # the JSON document holds every estimate; --raw-out would be ignored
+        def study(*args):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(ordmed.cli, "monte_carlo_study", study)
+        out, raw = tmp_path / "s.json", tmp_path / "raw.csv"
+        code = main(["mc-study", *J3_FLAGS, "--replications", "5", "--x", "3.5", "--xstar", "2",
+                     "--seed", "5", "--format", "json", "--out", str(out), "--raw-out", str(raw)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "--raw-out" in err and "--format json" in err
+        assert not out.exists() and not raw.exists()
+
     def test_full_scale_study_reproduces_published_columns(self, tmp_path):
         # 1000 replicates of the J=3 study through the CLI: summary means
         # within 0.03 and sds within 0.02 of the published Monte Carlo columns
@@ -484,6 +499,12 @@ class TestUsageErrors:
         bad.write_text("a,b,c\n1,2,3\n")
         assert main(["fit", "--data", str(bad), "--out", str(tmp_path / "f.csv")]) == EXIT_VALIDATION
         assert "header" in capsys.readouterr().err
+
+    def test_comment_only_file_has_no_header(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# tool: ordmed\n\n# seed: 7\n   \n")
+        assert main(["fit", "--data", str(bad), "--out", str(tmp_path / "f.csv")]) == EXIT_VALIDATION
+        assert f"{bad}: no header row found" in capsys.readouterr().err
 
     def test_invalid_record_reported_with_row(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -600,6 +621,32 @@ class TestInputRules:
         code = main(["effects", "--params", str(bad), "--x", "1", "--xstar", "0", "--out", str(tmp_path / "e.csv")])
         assert code == EXIT_VALIDATION
         assert f"parameter file {bad}: expected a JSON object" in capsys.readouterr().err
+
+    def test_parameter_file_must_be_valid_json(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"gamma0": -1.0,')
+        code = main(["effects", "--params", str(bad), "--x", "1", "--xstar", "0", "--out", str(tmp_path / "e.csv")])
+        assert code == EXIT_VALIDATION
+        assert f"parameter file {bad}: invalid JSON" in capsys.readouterr().err
+
+    def test_parameter_file_names_its_missing_fields(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"gamma0": -1.0, "gammaX": 0.5, "betaX": 1.1}))
+        code = main(["effects", "--params", str(bad), "--x", "1", "--xstar", "0", "--out", str(tmp_path / "e.csv")])
+        assert code == EXIT_VALIDATION
+        assert "missing field(s) ['alpha', 'betaM', 'betaXM']" in capsys.readouterr().err
+
+    def test_parameter_file_covariate_counts_must_agree(self, tmp_path, capsys):
+        # the effects core's dimension rule answers a gammaC without a betaC
+        params = {"gamma0": -1.0, "gammaX": 0.5, "gammaC": [0.4], "alpha": [2.5, 5.5],
+                  "betaX": 1.1, "betaM": 0.7, "betaXM": 0.5}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(params))
+        out = tmp_path / "e.csv"
+        code = main(["effects", "--params", str(bad), "--x", "1", "--xstar", "0", "--c", "0", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "mediator model has 1 covariate(s) but outcome model has 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_all_failed_bootstrap_exits_validation_without_a_report(self, tmp_path, capsys, monkeypatch):
         # exit 3 flags a written report; with every resample failed there is
@@ -780,3 +827,14 @@ class TestProcessEntry:
         assert main(["effects", "--params", str(DATA_DIR / "params_j3.json"),
                      "--x", "3.5", "--xstar", "2", "--out", str(tmp_path / "e.csv")]) == EXIT_OK
         assert gc.get_freeze_count() == frozen
+
+
+def test_exit_codes_are_documented():
+    # the README table and the module docstring list exactly the EXIT_* codes
+    codes = sorted(value for name, value in vars(ordmed.cli).items() if name.startswith("EXIT_"))
+    assert codes == [0, 1, 2, 3, 4]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Exit codes", 1)[1].split("\n#", 1)[0]
+    assert [int(code) for code in re.findall(r"^\| (\d+) +\|", table, re.M)] == codes
+    docstring = ordmed.cli.__doc__.split("Exit codes:", 1)[1]
+    assert [int(code) for code in re.findall(r"(?:^|;)\s+(\d+) ", docstring)] == codes

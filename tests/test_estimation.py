@@ -37,6 +37,7 @@ from ordmed.estimation import (
     _MAX_ITERATIONS,
     _fit_mediators,
     _fit_outcomes,
+    _fit_pairs,
     _newton_maximize,
     _outcome_design,
     _proportional_odds_parts,
@@ -127,6 +128,13 @@ class TestLoglik:
         for function in (loglik_mediator, mediator_loglik_gradient):
             with pytest.raises(DimensionError):
                 function(MediatorModel(0, 0, (1.0,)), data)
+
+    def test_outcome_gradient_undefined_at_zero_probability(self):
+        # the first record's predictor, 1000, lies far above the only
+        # threshold, so its probability of y = 1 underflows to exactly zero
+        data = _dataset([1.0, 0.0], [0, 1], [1, 2], J=2)
+        with pytest.raises(ValueError, match="probability zero"):
+            outcome_loglik_gradient(OutcomeModel((0.0,), 1000.0, 0.0, 0.0), data)
 
 
 class TestGradients:
@@ -634,6 +642,35 @@ class TestStackInvariance:
                         continue
                     assert _bits(got) == _bits(alone)
         assert {SeparationError, DegenerateDataError} <= classes
+
+    def test_each_problem_reports_its_first_error(self):
+        # a check or a fit records an error only for a problem without one,
+        # so each problem of a stack fails with what fit_mediator, and then
+        # fit_outcome, raises first on it alone
+        x = np.linspace(0.0, 1.0, 60)
+        m = np.arange(60) % 2
+        y = np.arange(60) % 3 + 1
+        x_m = np.where(m == 1, 1.0, 2.0 * x)  # x*m == m: the outcome design is rank-deficient
+        datasets = [
+            _dataset(x, np.zeros(60), np.minimum(y, 2), J=3),  # single mediator value, level 3 missing
+            _dataset(np.full(60, 2.0), np.ones(60), y, J=3),  # single mediator value, both designs rank-deficient
+            _dataset(np.full(60, 2.0), m, np.minimum(y, 2), J=3),  # mediator rank-deficient, level 3 missing
+            _dataset(x_m, m, np.minimum(y, 2), J=3),  # level 3 missing, outcome rank-deficient
+            _dataset(x_m, m, y, J=3),
+            _dataset(x, m, y, J=3),
+        ]
+        _, _, errors = _fit_pairs(_Stack.of(datasets))
+        for data, error in zip(datasets, errors):
+            try:
+                fit_mediator(data)
+                fit_outcome(data)
+            except (DegenerateDataError, ConvergenceError) as exc:
+                assert f"{type(error).__name__}: {error}" == f"{type(exc).__name__}: {exc}"
+            else:
+                assert error is None
+        assert ["single value" in str(e) for e in errors[:3]] == [True, True, False]
+        assert "never observed" in str(errors[3]) and "rank-deficient" in str(errors[4])
+        assert errors[5] is None
 
 
 class TestFitMediator:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import ordmed.inference
 from ordmed import (
+    ConvergenceError,
     DegenerateDataError,
     EffectQuery,
     MediatorModel,
@@ -107,6 +108,37 @@ class TestBootstrapEffects:
             s = np.sort(enumerated[:, k])
             assert result.ci_lower[k] == quantile(s, tail)
             assert result.ci_upper[k] == quantile(s, 1.0 - tail)
+
+    def test_sparse_resamples_equal_per_resample_enumeration(self, monkeypatch):
+        # the bootstrap analogue of the Monte Carlo enumeration test: at n=60
+        # some resamples of the sparse design fail; exactly those are
+        # excluded, each with the error its own fits raise, and every kept
+        # row is bitwise the effect table of its resample's fits
+        from conftest import SPARSE_MEDIATOR, SPARSE_OUTCOME
+
+        data = simulate_dataset(SimulationDesign(n=60, mean_x=3.0, sd_x=1.3, mediator=SPARSE_MEDIATOR,
+                                                 outcome=SPARSE_OUTCOME, seed=4242))
+        errors = []
+
+        def recorded(*args):
+            estimates, stack_errors = stacked_effects(*args)
+            errors.extend(stack_errors)
+            return estimates, stack_errors
+
+        stacked_effects = ordmed.inference._stacked_effects
+        monkeypatch.setattr(ordmed.inference, "_stacked_effects", recorded)
+        result = bootstrap_effects(data, QUERY, 300, seed=7)
+        rows, raised = [], []
+        for b in range(300):
+            sample = data.subset(keyed_stream(7, _BOOTSTRAP_DOMAIN, b).integers(0, data.n, size=data.n))
+            try:
+                rows.append(effect_table(QUERY, fit_mediator(sample).model, fit_outcome(sample).model).flatten())
+                raised.append(None)
+            except (DegenerateDataError, ConvergenceError) as exc:
+                raised.append(f"{type(exc).__name__}: {exc}")
+        assert [None if e is None else f"{type(e).__name__}: {e}" for e in errors] == raised
+        assert result.failures == 300 - len(rows) == 44
+        assert result.estimates.tobytes() == np.vstack(rows).tobytes()
 
     def test_bitwise_deterministic(self):
         data = _study_dataset(60, seed=14)

@@ -167,6 +167,10 @@ class TestModelConstruction:
         with pytest.raises(ModelSpecError, match="betaX"):
             OutcomeModel((0.0,), bad, 0.0, 0.0)
 
+    def test_outcome_needs_a_threshold(self):
+        with pytest.raises(ModelSpecError, match="at least one threshold"):
+            OutcomeModel((), 0.0, 0.0, 0.0)
+
     def test_levels_property(self):
         assert J3_OUTCOME.J == 3
         assert OutcomeModel((0.0,), 0, 0, 0).J == 2
@@ -174,6 +178,24 @@ class TestModelConstruction:
     def test_models_immutable(self):
         with pytest.raises(AttributeError):
             J3_OUTCOME.betaX = 2.0
+
+
+class TestDatasetConstruction:
+    def columns(self):
+        return np.linspace(0.0, 1.0, 3), np.array([0, 1, 0]), np.array([1, 2, 1]), np.zeros((3, 0))
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_columns_must_be_equally_long(self, column):
+        columns = list(self.columns())
+        columns[column] = columns[column][:2]
+        with pytest.raises(ValueError, match="equally long"):
+            Dataset(*columns, 2, 0)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 1), (3,)])
+    def test_covariates_must_match_n_and_p(self, shape):
+        x, m, y, _ = self.columns()
+        with pytest.raises(ValueError, match=r"covariates must have shape \(3, 1\)"):
+            Dataset(x, m, y, np.zeros(shape), 2, 1)
 
 
 class TestValidateDataset:
