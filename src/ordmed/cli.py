@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import gc
 import json
 import math
@@ -82,17 +83,51 @@ def main(argv=None):
 def run(argv=None):
     """``main(argv)``'s exit status, for a process that ends right after it.
 
-    ``gc.freeze()`` moves every live object into the permanent generation,
-    which the interpreter's collections at exit never visit: they would walk
-    the tens of thousands of objects numpy and the run left alive just
-    before the process gives all its memory back. Nothing written depends
-    on those passes: every output file is closed by its ``with`` block
-    before ``main`` returns, and stdio is flushed before modules are torn
-    down. ``main`` itself leaves collection alone for in-process callers.
+    Before ``main``, ``_keep_freed_heap`` raises glibc's malloc trim
+    threshold to 64 MiB and fixes its mmap threshold at 4 MiB. By default
+    glibc hands freed memory at the top of the heap back to the kernel, so
+    every likelihood-kernel call of a resampling run faults its temporaries
+    in afresh: a J=3, n=500, 200-replicate ``mc-study`` takes about 30k
+    minor page faults that way and about 5.6k with the freed heap kept.
+    Both thresholds are set because setting either one turns off glibc's
+    dynamic mmap threshold; with the trim threshold alone an n=2000
+    ``analyze`` with B=200 takes 176k faults instead of 110k. Off glibc the
+    step does nothing.
+
+    After ``main``, ``gc.freeze()`` moves every live object into the
+    permanent generation, which the interpreter's collections at exit never
+    visit: they would walk the tens of thousands of objects numpy and the
+    run left alive just before the process gives all its memory back.
+    Nothing written depends on those passes: every output file is closed by
+    its ``with`` block before ``main`` returns, and stdio is flushed before
+    modules are torn down.
+
+    ``main`` itself leaves the allocator and collection alone for in-process
+    callers.
     """
+    _keep_freed_heap()
     status = main(argv)
     gc.freeze()
     return status
+
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _mallopt():
+    # glibc's mallopt, or None: musl, macOS and Windows have no libc.so.6
+    try:
+        return ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return None
+
+
+def _keep_freed_heap():
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+        mallopt(_M_MMAP_THRESHOLD, 4 << 20)
 
 
 def build_parser():

@@ -290,7 +290,9 @@ def _solve(errors, parts, theta0, args, what):
     theta = np.zeros((len(errors), theta0.shape[1]))
     fits = [None] * len(errors)
     if live:
-        theta[live], hess, outcomes = _newton_maximize(parts, theta0, tuple(a[live] for a in args), what)
+        if len(live) < len(errors):
+            args = tuple(a[live] for a in args)
+        theta[live], hess, outcomes = _newton_maximize(parts, theta0, args, what)
         for s, h, outcome in zip(live, hess, outcomes):
             if isinstance(outcome, Exception):
                 errors[s] = outcome

@@ -47,7 +47,8 @@ def _exp_neg_abs(z):
 
 def _expit_branches(ez):
     # 1 / (1 + ez) and ez / (1 + ez): expit(z) for z >= 0 and for z <= 0
-    return 1.0 / (1.0 + ez), ez / (1.0 + ez)
+    denom = 1.0 + ez
+    return 1.0 / denom, ez / denom
 
 
 def _log1pexp(z, ez):

@@ -2,6 +2,7 @@
 round-trip between simulate/fit/effects and analyze."""
 
 import csv
+import ctypes
 import gc
 import json
 import math
@@ -767,11 +768,24 @@ class TestProcessEntry:
     """``python -m ordmed.cli`` ends through ``run``: the exit codes and the
     output bytes are those of ``main`` in-process."""
 
-    def process(self, argv, python_args=("-m", "ordmed.cli")):
+    def env(self):
         src = str(Path(ordmed.cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        return subprocess.run([sys.executable, *python_args, *argv], env=env,
+        return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def process(self, argv, python_args=("-m", "ordmed.cli")):
+        return subprocess.run([sys.executable, *python_args, *argv], env=self.env(),
                               capture_output=True, text=True, timeout=300)
+
+    def minor_faults(self, argv):
+        # minor page faults of the argv run through ``run`` and through ``main``
+        faults = []
+        for python_args in (("-m", "ordmed.cli"),
+                            ("-c", "import sys; from ordmed.cli import main; sys.exit(main(sys.argv[1:]))")):
+            pid = os.posix_spawn(sys.executable, [sys.executable, *python_args, *argv], self.env())
+            _, status, usage = os.wait4(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == EXIT_OK
+            faults.append(usage.ru_minflt)
+        return faults
 
     def assert_same_outputs(self, argv, outputs, code):
         assert self.process(argv).returncode == code
@@ -827,6 +841,41 @@ class TestProcessEntry:
         assert main(["effects", "--params", str(DATA_DIR / "params_j3.json"),
                      "--x", "3.5", "--xstar", "2", "--out", str(tmp_path / "e.csv")]) == EXIT_OK
         assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.skipif(ordmed.cli._mallopt() is None, reason="libc has no glibc mallopt")
+    def test_entry_keeps_the_freed_heap_of_a_study(self, tmp_path):
+        run, plain = self.minor_faults(["mc-study", *J3_FLAGS, "--replications", "200", "--x", "3.5",
+                                        "--xstar", "2", "--seed", "11", "--out", str(tmp_path / "s.csv")])
+        assert plain - run >= 15000
+
+    @pytest.mark.skipif(ordmed.cli._mallopt() is None, reason="libc has no glibc mallopt")
+    def test_entry_keeps_large_bootstrap_arrays_off_fresh_pages(self, tmp_path):
+        # with the trim threshold alone glibc stops raising its mmap threshold,
+        # and every n=2000 kernel temporary is mapped and faulted in afresh
+        data_csv = tmp_path / "data.csv"
+        assert main(["simulate", *J3_FLAGS, "--n", "2000", "--seed", "3", "--out", str(data_csv)]) == EXIT_OK
+        run, plain = self.minor_faults(["analyze", "--data", str(data_csv), "--x", "3.5", "--xstar", "2",
+                                        "--bootstrap", "200", "--seed", "17", "--out", str(tmp_path / "r.csv")])
+        assert run < plain
+
+    def test_main_leaves_the_allocator_alone(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ordmed.cli, "_keep_freed_heap", lambda: calls.append(1))
+        assert main(["effects", "--params", str(DATA_DIR / "params_j3.json"),
+                     "--x", "3.5", "--xstar", "2", "--out", str(tmp_path / "e.csv")]) == EXIT_OK
+        assert calls == []
+
+    @pytest.mark.parametrize("libc", [OSError("no libc.so.6"), object()], ids=["no-libc", "no-mallopt"])
+    def test_run_without_glibc_returns_the_status_of_main(self, tmp_path, monkeypatch, libc):
+        def cdll(name):
+            if isinstance(libc, Exception):
+                raise libc
+            return libc
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        monkeypatch.setattr(gc, "freeze", lambda: None)  # keep the test process's collections
+        argv = ["effects", "--params", str(DATA_DIR / "params_j3.json"), "--x", "3.5", "--xstar", "2"]
+        assert ordmed.cli.run([*argv, "--out", str(tmp_path / "e.csv")]) == EXIT_OK
+        assert ordmed.cli.run([*argv, "--out", str(tmp_path / "no" / "e.csv")]) == EXIT_VALIDATION
 
 
 def test_exit_codes_are_documented():
