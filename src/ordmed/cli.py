@@ -270,12 +270,19 @@ def _query_from_args(args):
 
 
 def _design_from_args(args):
+    gamma_c, beta_c = _split_list(args.gamma_c), _split_list(args.beta_c)
+    p = max(len(gamma_c), len(beta_c))
+    missing = [flag for flag, value in (("--cov-means", args.cov_means), ("--cov-sds", args.cov_sds)) if value is None]
+    if p and missing:
+        # the generator's covariate count comes from these two flags alone
+        raise CliError(f"--gamma-c/--beta-c give {p} covariate coefficient(s), so --cov-means and --cov-sds "
+                       f"need {p} value(s) each; missing: {' and '.join(missing)}")
     return SimulationDesign(
         n=args.n,
         mean_x=args.mean_x,
         sd_x=args.sd_x,
-        mediator=MediatorModel(args.gamma0, args.gamma_x, _split_list(args.gamma_c)),
-        outcome=OutcomeModel(_split_list(args.alpha), args.beta_x, args.beta_m, args.beta_xm, _split_list(args.beta_c)),
+        mediator=MediatorModel(args.gamma0, args.gamma_x, gamma_c),
+        outcome=OutcomeModel(_split_list(args.alpha), args.beta_x, args.beta_m, args.beta_xm, beta_c),
         seed=args.seed,
         cov_means=_split_list(args.cov_means),
         cov_sds=_split_list(args.cov_sds),

@@ -5,7 +5,8 @@ records.  Each resample owns the stream keyed (seed, resample index), so
 results are bitwise reproducible and independent of evaluation order; the
 point estimate always comes from the full data, never from resamples.
 ``_stacked_effects`` fits and evaluates the resamples, and the Monte Carlo
-study's replicates, 16 at a time and keeps each one's error by its index.
+study's replicates, in stacks of about 12,000 records and keeps each one's
+error by its index.
 
 Quantiles use linear interpolation between order statistics ("type 7")
 throughout.  Only percentile intervals are provided; BCa or studentized
@@ -26,9 +27,11 @@ from .numerics import keyed_stream
 
 _BOOTSTRAP_DOMAIN = 2
 
-# Problems per stack: enough to spread numpy's fixed cost per call over many
-# fits, few enough that the stacked arrays stay small beside a run's memory.
-_STACK_SIZE = 16
+# Records per stack.  Every Newton round has a fixed cost whatever the stack
+# holds, so a stack packs as many problems of n records as fit in this budget
+# (at least one): small problems share rounds, and the stacked arrays of large
+# ones stay within a bounded size.  Results do not depend on the budget.
+_STACK_RECORDS = 12_000
 
 
 def quantile(sorted_sample, q):
@@ -95,14 +98,16 @@ class BootstrapResult:
         return self.failures > self.B / 2
 
 
-def _stacked_effects(query: EffectQuery, count, stack_of):
-    """The effect rows of ``count`` problems, fitted and evaluated 16 at a
-    time: ``stack_of(ids)`` draws the datasets of the problems ``ids`` as a
-    stack.  Returns the rows of the problems that both fits succeed on, in
-    problem order, and per problem None or the error that failed it."""
+def _stacked_effects(query: EffectQuery, count, n, stack_of):
+    """The effect rows of ``count`` problems of ``n`` records each, fitted and
+    evaluated ``max(1, _STACK_RECORDS // n)`` at a time: ``stack_of(ids)``
+    draws the datasets of the problems ``ids`` as a stack.  Returns the rows
+    of the problems that both fits succeed on, in problem order, and per
+    problem None or the error that failed it."""
+    size = max(1, _STACK_RECORDS // n)
     rows, errors = [], []
-    for start in range(0, count, _STACK_SIZE):
-        mediators, outcomes, stack_errors = _fit_pairs(stack_of(range(start, min(start + _STACK_SIZE, count))))
+    for start in range(0, count, size):
+        mediators, outcomes, stack_errors = _fit_pairs(stack_of(range(start, min(start + size, count))))
         rows.append(_effect_rows(query, mediators, outcomes))
         errors += stack_errors
     return np.concatenate(rows), errors
@@ -121,8 +126,8 @@ def bootstrap_effects(data: Dataset, query: EffectQuery, B, level=0.95, *, seed)
     Resample b draws its row indices from the stream keyed (seed, b).
     Degenerate resamples (a missing outcome level or a single mediator value)
     and resamples whose fits fail are counted in ``failures`` and excluded,
-    never redrawn.  Resamples are drawn, fitted and evaluated 16 at a time,
-    as arrays; each one's fits are bitwise those of
+    never redrawn.  Resamples are drawn, fitted and evaluated in stacks of
+    about 12,000 records, as arrays; each one's fits are bitwise those of
     ``fit_mediator``/``fit_outcome`` on it, and its effects those of
     ``effect_table`` on their models.
     """
@@ -138,7 +143,7 @@ def bootstrap_effects(data: Dataset, query: EffectQuery, B, level=0.95, *, seed)
         idx = np.stack([keyed_stream(seed, _BOOTSTRAP_DOMAIN, b).integers(0, data.n, size=data.n) for b in ids])
         return _Stack(data.x[idx], data.m[idx], data.y[idx], data.covariates[idx], data.J)
 
-    estimates, _ = _stacked_effects(query, B, resamples)
+    estimates, _ = _stacked_effects(query, B, data.n, resamples)
     if not estimates.shape[0]:
         raise DegenerateDataError(f"all {B} bootstrap resamples failed; no interval can be formed")
     bounds = [percentile_interval(estimates[:, k], level) for k in range(estimates.shape[1])]

@@ -11,6 +11,7 @@ indicates a bug rather than a silently repaired model.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ def _finite_scalar(value, name):
         real = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelSpecError(f"{name} must be a real number, got {value!r}") from exc
-    if not np.isfinite(real):
+    if not math.isfinite(real):
         raise ModelSpecError(f"{name} must be finite, got {real!r}")
     return real
 

@@ -10,7 +10,8 @@ the method is recorded in RNG_INFO so output metadata can state it.
 Datasets are drawn in stacks: each draws its uniforms from its own streams,
 then every transform runs once on the stacked arrays, and ``simulate_dataset``
 is a stack of one.  The Monte Carlo study's replicates go through the
-bootstrap's driver, ``inference._stacked_effects``, 16 at a time.
+bootstrap's driver, ``inference._stacked_effects``, in stacks of about 12,000
+records.
 """
 
 from __future__ import annotations
@@ -180,17 +181,18 @@ def monte_carlo_study(design: SimulationDesign, replications, query: EffectQuery
 
     Replicate r draws its data from the stream keyed (design.seed, r), so the
     collection is reproducible bitwise and prefix-stable in the replication
-    count.  Replicates are simulated, fitted and evaluated 16 at a time, as
-    arrays; each one's dataset is bitwise that of ``simulate_dataset``, its
-    fits those of ``fit_mediator``/``fit_outcome`` on it, and its effects
-    those of ``effect_table`` on their models.
+    count.  Replicates are simulated, fitted and evaluated in stacks of about
+    12,000 records, as arrays; each one's dataset is bitwise that of
+    ``simulate_dataset``, its fits those of ``fit_mediator``/``fit_outcome``
+    on it, and its effects those of ``effect_table`` on their models.
     """
     replications = _whole(replications, "replications", 1)
     if len(query.c) != design.p:
         raise DimensionError(f"query has {len(query.c)} covariate(s) but design has {design.p}")
 
     estimates, errors = _stacked_effects(
-        query, replications, lambda ids: _simulate_stack(design, [replicate_seed(design.seed, r) for r in ids])
+        query, replications, design.n,
+        lambda ids: _simulate_stack(design, [replicate_seed(design.seed, r) for r in ids]),
     )
     if not estimates.shape[0]:
         raise DegenerateDataError(f"all {replications} replicates failed to fit")

@@ -597,6 +597,26 @@ class TestInputRules:
         assert code == EXIT_VALIDATION
         assert reason in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["simulate"], ["mc-study", "--replications", "2", "--x", "3.5",
+                                                          "--xstar", "2", "--c", "0,0"]])
+    @pytest.mark.parametrize("cov_flags, missing", [
+        ([], "missing: --cov-means and --cov-sds"),
+        (["--cov-means", "0,0"], "missing: --cov-sds"),
+        (["--cov-sds", "1,1"], "missing: --cov-means"),
+    ])
+    def test_covariate_coefficients_without_a_covariate_generator(self, tmp_path, capsys, command, cov_flags,
+                                                                   missing):
+        # the generator's covariate count comes from --cov-means/--cov-sds, so
+        # the message names those flags, not a dimension of size 0
+        out = tmp_path / "s.csv"
+        code = main([command[0], *SPARSE_FLAGS, *command[1:], "--gamma-c", "0.3,-0.2", "--beta-c", "0.2,0.1",
+                     *cov_flags, "--seed", "9", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "--gamma-c/--beta-c give 2 covariate coefficient(s)" in err
+        assert "need 2 value(s) each" in err and missing in err
+        assert not out.exists()
+
     def test_negative_bootstrap_follows_the_resample_count_rule(self, tmp_path, capsys):
         data_csv = tmp_path / "data.csv"
         data_csv.write_text(SIX_ROWS)

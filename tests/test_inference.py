@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ordmed.estimation
 import ordmed.inference
 from ordmed import (
     ConvergenceError,
@@ -18,6 +19,7 @@ from ordmed import (
     effect_table,
     fit_mediator,
     fit_outcome,
+    monte_carlo_study,
     percentile_interval,
     quantile,
     simulate_dataset,
@@ -25,16 +27,22 @@ from ordmed import (
 from ordmed.inference import _BOOTSTRAP_DOMAIN
 from ordmed.numerics import keyed_stream
 
-from conftest import J3_MEDIATOR, J3_OUTCOME, X_ACTIVE, X_BASELINE
+from conftest import J3_MEDIATOR, J3_OUTCOME, SPARSE_MEDIATOR, SPARSE_OUTCOME, X_ACTIVE, X_BASELINE
 
 QUERY = EffectQuery(X_ACTIVE, X_BASELINE)
 TRUE_LOG_TCE_1 = 1.9664495298574452  # closed form under the J=3 study design
 
 
+def _study_design(n, seed):
+    return SimulationDesign(n=n, mean_x=3.0, sd_x=1.5, mediator=J3_MEDIATOR, outcome=J3_OUTCOME, seed=seed)
+
+
+def _sparse_design(n, seed):
+    return SimulationDesign(n=n, mean_x=3.0, sd_x=1.3, mediator=SPARSE_MEDIATOR, outcome=SPARSE_OUTCOME, seed=seed)
+
+
 def _study_dataset(n, seed):
-    return simulate_dataset(
-        SimulationDesign(n=n, mean_x=3.0, sd_x=1.5, mediator=J3_MEDIATOR, outcome=J3_OUTCOME, seed=seed)
-    )
+    return simulate_dataset(_study_design(n, seed))
 
 
 class TestQuantile:
@@ -250,3 +258,73 @@ class TestBootstrapEffects:
             k = result.labels.index(("tce", "1"))
             covered += int(result.ci_lower[k] <= TRUE_LOG_TCE_1 <= result.ci_upper[k])
         assert 0.90 <= covered / 200 <= 0.99
+
+
+class TestStackBudget:
+    """The resampling driver packs max(1, _STACK_RECORDS // n) problems per
+    stack.  Fits are stack-invariant, so no budget changes a result; the
+    budget bounds the kernel rounds and the records of every kernel call."""
+
+    @staticmethod
+    def _outputs(monkeypatch, budget, run):
+        # run() under a budget of ``budget`` records: its arrays and counts,
+        # the error of every problem in problem order, and the stack sizes
+        errors, sizes = [], []
+
+        def recorded(stack):
+            gamma, beta, stack_errors = ordmed.estimation._fit_pairs(stack)
+            errors.extend(None if e is None else f"{type(e).__name__}: {e}" for e in stack_errors)
+            sizes.append(len(stack_errors))
+            return gamma, beta, stack_errors
+
+        monkeypatch.setattr(ordmed.inference, "_fit_pairs", recorded)
+        monkeypatch.setattr(ordmed.inference, "_STACK_RECORDS", budget)
+        result = run()
+        if isinstance(result, ordmed.inference.BootstrapResult):
+            arrays = (result.estimates, result.boot_sd, result.ci_lower, result.ci_upper)
+            counts = (result.failures,)
+        else:
+            arrays = (result.estimates, result.mean, result.sd)
+            counts = (result.n_failures, result.replicate_ids, result.failed_replicates)
+        return [a.tobytes() for a in arrays], counts, errors, sizes
+
+    @pytest.mark.parametrize("n, count, failures, run", [
+        (60, 300, 44,
+         lambda: bootstrap_effects(simulate_dataset(_sparse_design(60, seed=4242)), QUERY, 300, seed=7)),
+        (300, 200, None,
+         lambda: bootstrap_effects(simulate_dataset(_sparse_design(300, seed=4242)), QUERY, 200, seed=99)),
+        (40, 200, 61, lambda: monte_carlo_study(_sparse_design(40, seed=3), 200, QUERY)),
+        (500, 200, None, lambda: monte_carlo_study(_study_design(500, seed=1), 200, QUERY)),
+    ], ids=["sparse-n60-bootstrap", "sparse-j5-bootstrap", "sparse-n40-monte-carlo", "j3-monte-carlo"])
+    def test_any_budget_gives_the_same_results(self, monkeypatch, n, count, failures, run):
+        def stack_sizes(size):
+            return [size] * (count // size) + ([count % size] if count % size else [])
+
+        default = self._outputs(monkeypatch, ordmed.inference._STACK_RECORDS, run)
+        assert default[3] == stack_sizes(max(1, ordmed.inference._STACK_RECORDS // n))
+        if failures is not None:
+            assert sum(e is not None for e in default[2]) == failures
+        for budget, size in ((1, 1), (7 * n, 7), (count * n, count)):
+            arrays, counts, errors, sizes = self._outputs(monkeypatch, budget, run)
+            assert sizes == stack_sizes(size)
+            assert (arrays, counts, errors) == default[:3]
+
+    def test_kernel_rounds_and_records_are_bounded(self, monkeypatch):
+        # B=200 resamples of the sparse J=5 data (n=300) run 40 to a stack:
+        # 61 outcome and 42 mediator kernel calls, point fits included (16 to
+        # a stack would take 135 and 98); every call sees at most
+        # max(_STACK_RECORDS, n) records
+        data = simulate_dataset(_sparse_design(300, seed=4242))
+        records = {"_bernoulli_parts": [], "_proportional_odds_parts": []}
+        for name, response in (("_bernoulli_parts", 2), ("_proportional_odds_parts", 3)):
+            # the (S, n) response, m or y, is argument ``response`` of the kernel
+            def counted(*args, kernel=getattr(ordmed.estimation, name), seen=records[name], response=response):
+                seen.append(args[response].size)
+                return kernel(*args)
+
+            monkeypatch.setattr(ordmed.estimation, name, counted)
+        bootstrap_effects(data, QUERY, 200, seed=99)
+        assert len(records["_proportional_odds_parts"]) <= 76
+        assert len(records["_bernoulli_parts"]) <= 52
+        bound = max(ordmed.inference._STACK_RECORDS, data.n)
+        assert max(records["_proportional_odds_parts"] + records["_bernoulli_parts"]) <= bound
