@@ -23,6 +23,12 @@ the engine runs only the problems without an error, and a failure never
 stops the rest of the stack.  The drivers take the parameter rows, so only
 a single fit builds a FitResult.
 
+Both fits start from least squares on their own data: the mediator at glm's
+first IRLS step from mu = (m + 1/2)/2, z = (2m - 1)(log 3 + 4/3) on (1, x, c);
+the outcome at the slopes beta of each record's mid-cumulative marginal logit
+on A = (1, x, m, x*m, c), alpha_j = logit F_j + mean(x, m, x*m, c) beta.  One
+SVD of A decides both rank checks; (1, x, c) gets one only where A is deficient.
+
 The proportional-odds log-likelihood, score and Hessian come from one
 array-valued kernel over all records; its derivatives are written in density
 ratios f/pi, so a category probability near underflow never produces a NaN.
@@ -60,6 +66,7 @@ _LOGLIK_RTOL = 1e-12
 _MAX_ITERATIONS = 100
 _MAX_HALVINGS = 30
 _DIVERGENCE_NORM = 1e3
+_DEFICIENT = "{} design matrix {} is rank-deficient; parameters are not identifiable"
 
 
 @dataclass(frozen=True)
@@ -174,10 +181,10 @@ def fit_outcome(data: Dataset) -> FitResult:
 
     Every level 1..J must be observed: empty categories abort with a clear
     error rather than being merged, since merging would change the estimand.
-    Slopes start at zero and thresholds at the empirical marginal cumulative
-    logits of Y.  The thresholds are fitted unconstrained: the likelihood's
-    domain and the line search hold their order (a candidate out of order
-    has log-likelihood -inf, and the line search rejects it).
+    The start is a least-squares fit (see the module docstring).  The
+    thresholds are fitted unconstrained: the likelihood's domain and the line
+    search hold their order (a candidate out of order has log-likelihood
+    -inf, and the line search rejects it).
     """
     return _returned(_fit_outcomes(_Stack.of([data]))[0])
 
@@ -194,8 +201,9 @@ def _fit_pairs(stack: _Stack):
     datasets that both fits succeed on, in stack order, and per dataset None
     or the error that ``fit_mediator`` and then ``fit_outcome`` raise on it."""
     errors = [None] * len(stack.y)
-    gamma, _ = _solve_mediators(stack, errors)
-    beta, _ = _solve_outcomes(stack, errors)
+    designs = _designs(stack)
+    gamma, _ = _solve_mediators(stack, errors, designs)
+    beta, _ = _solve_outcomes(stack, errors, designs)
     ok = [error is None for error in errors]
     return gamma[ok], beta[ok], errors
 
@@ -219,7 +227,7 @@ def _fit_results(stack, solve, model_of):
     # per dataset, the error that solve(stack, errors) records or the
     # FitResult of its fit, with model_of(theta) as its model
     errors = [None] * len(stack.y)
-    theta, fits = solve(stack, errors)
+    theta, fits = solve(stack, errors, _designs(stack))
     for s, fit in enumerate(fits):
         if fit:
             hess, ll, gnorm, (iterations, evaluations, halvings, fallback_steps) = fit
@@ -229,20 +237,32 @@ def _fit_results(stack, solve, model_of):
     return errors
 
 
-def _solve_mediators(stack: _Stack, errors):
+def _designs(stack: _Stack):
+    # W, the Gram matrices of A = (1, W) and the mask of the rank-deficient A
+    W = _outcome_design(stack)
+    A = np.concatenate([np.ones(W.shape[:2] + (1,)), W], axis=2)
+    return W, A.mT @ A, np.linalg.matrix_rank(A) < A.shape[2]
+
+
+def _solve_mediators(stack: _Stack, errors, designs):
+    _, gram, deficient = designs
     both = (stack.m == 0).any(axis=1) & (stack.m == 1).any(axis=1)
     _fail(errors, ~both, lambda s: DegenerateDataError("mediator takes a single value; need both M=0 and M=1 to fit"))
     Z = _mediator_design(stack)
-    _full_rank(Z, errors, "mediator design matrix (1, x, c)")
-    return _solve(errors, _bernoulli_parts, np.zeros((errors.count(None), Z.shape[2])),
-                  (Z, stack.m.astype(float)), "mediator model")
+    deficient = deficient & np.equal(errors, None)  # a full-rank A has a full-rank (1, x, c)
+    if deficient.any():
+        deficient[deficient] = np.linalg.matrix_rank(Z[deficient]) < Z.shape[2]
+    _fail(errors, deficient, lambda s: DegenerateDataError(_DEFICIENT.format("mediator", "(1, x, c)")))
+    cols = np.r_[0, 1, 4:gram.shape[2]]  # the (1, x, c) block of A's Gram matrix is Z's
+    z = (2.0 * stack.m - 1.0) * (math.log(3.0) + 4.0 / 3.0)  # glm's working response at mu = (m + 1/2)/2
+    theta0 = _least_squares(errors, gram[:, cols[:, None], cols], (Z.mT @ z[:, :, None])[:, :, 0])
+    return _solve(errors, _bernoulli_parts, theta0, (Z, stack.m.astype(float)), "mediator model")
 
 
-def _solve_outcomes(stack: _Stack, errors):
+def _solve_outcomes(stack: _Stack, errors, designs):
     S, n = stack.y.shape
-    J = stack.J
-    K = J - 1
-    W = _outcome_design(stack)
+    J, K = stack.J, stack.J - 1
+    W, gram, deficient = designs
     if J > n:  # some level is never observed: fail before counting J cells per problem
         error = DegenerateDataError(f"{J} outcome levels but only {n} records; every level must appear at least once")
         _fail(errors, np.ones(S, dtype=bool), lambda s: error)
@@ -260,11 +280,18 @@ def _solve_outcomes(stack: _Stack, errors):
         )
 
     _fail(errors, (counts == 0).any(axis=1), missing_levels)
-    _full_rank(np.concatenate([np.ones((S, n, 1)), W], axis=2), errors, "outcome design matrix (1, x, m, x*m, c)")
-    cum = np.cumsum(counts[[error is None for error in errors]], axis=1)[:, :-1] / n
-    theta0 = np.concatenate([np.log(cum / (1.0 - cum)), np.zeros((len(cum), W.shape[2]))], axis=1)
+    _fail(errors, deficient, lambda s: DegenerateDataError(_DEFICIENT.format("outcome", "(1, x, m, x*m, c)")))
+    cum = np.cumsum(counts, axis=1)
+    p = np.concatenate([cum[:, :-1], cum - 0.5 * counts], axis=1) / n  # K cumulative, J mid-cumulative
+    with np.errstate(divide="ignore"):  # a problem with an empty level has failed
+        logits = np.log(p / (1.0 - p))
+    t = logits.ravel()[stack.y + np.arange(K - 1, S * (J + K), J + K)[:, None]]  # each record's mid-cumulative logit
+    rhs = np.concatenate([t.sum(axis=1)[:, None], (W.mT @ t[:, :, None])[:, :, 0]], axis=1)  # A^T t
+    del t  # the outcome kernel sets the memory peak
+    beta0 = _least_squares(errors, gram, rhs)[:, 1:]
+    alpha0 = logits[:, :K] + (np.vecdot(gram[:, 0, 1:], beta0) / n)[:, None]
     return _solve(errors, lambda theta, W, y: _proportional_odds_parts(theta[:, :K], theta[:, K:], W, y, J),
-                  theta0, (W, stack.y), "outcome model")
+                  np.concatenate([alpha0, beta0], axis=1), (W, stack.y), "outcome model")
 
 
 def _fail(errors, mask, error_of):
@@ -274,24 +301,27 @@ def _fail(errors, mask, error_of):
             errors[s] = error_of(s)
 
 
-def _full_rank(designs, errors, what):
-    """Record a rank-deficiency error for every problem whose design is rank-deficient."""
-    _fail(errors, np.linalg.matrix_rank(designs) < designs.shape[2],
-          lambda s: DegenerateDataError(f"{what} is rank-deficient; parameters are not identifiable"))
+def _least_squares(errors, gram, rhs):
+    # per problem, gram^-1 rhs, or zero (the plain start) where gram is singular; failed problems' rows are unused
+    gram = np.where(np.equal(errors, None)[:, None, None], gram, np.eye(gram.shape[1]))
+    try:
+        coef = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        coef = np.stack([_solved_or_nan(g, r) for g, r in zip(gram, rhs)])
+    return np.where(np.isfinite(coef).all(axis=1)[:, None], coef, 0.0)
 
 
 def _solve(errors, parts, theta0, args, what):
-    """Run the Newton engine from the rows of theta0, one per problem without
-    an error yet (in stack order), and record each failure in ``errors``.
-    Returns the final parameter rows of the whole stack (zero where a problem
-    has an error) and per problem None or its final (Hessian, loglik,
-    max |gradient|, counts)."""
+    """Run the Newton engine from the rows of theta0 of the problems without
+    an error yet, and record each failure in ``errors``.  Returns the final
+    parameter rows of the whole stack (zero where a problem has an error) and
+    per problem None or its final (Hessian, loglik, max |gradient|, counts)."""
     live = [s for s, error in enumerate(errors) if error is None]
     theta = np.zeros((len(errors), theta0.shape[1]))
     fits = [None] * len(errors)
     if live:
         if len(live) < len(errors):
-            args = tuple(a[live] for a in args)
+            theta0, *args = (a[live] for a in (theta0, *args))
         theta[live], hess, outcomes = _newton_maximize(parts, theta0, args, what)
         for s, h, outcome in zip(live, hess, outcomes):
             if isinstance(outcome, Exception):

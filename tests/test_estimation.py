@@ -460,7 +460,10 @@ class TestEvaluationCounts:
     def test_evaluations_are_the_start_plus_steps_plus_halvings(self):
         # every evaluation after the start is either an accepted step or a
         # rejected (halved) candidate: on the J=3 and sparse J=5 reference
-        # fits, and on sparse bootstrap resamples, several of which halve
+        # fits, on sparse bootstrap resamples, and on an engine problem whose
+        # full Newton step overshoots (the data-driven starts leave the real
+        # fits without a halving): maximize -log cosh t from t = 1.5, where
+        # the full step lands near t = -3.5 and the half step is accepted
         j3 = simulate_dataset(SimulationDesign(
             n=500, mean_x=3.0, sd_x=1.5, mediator=J3_MEDIATOR, outcome=J3_OUTCOME, seed=1,
         ))
@@ -471,10 +474,20 @@ class TestEvaluationCounts:
         for b in range(12):
             idx = keyed_stream(99, _BOOTSTRAP_DOMAIN, b).integers(0, sparse.n, size=sparse.n)
             fits.append(fit_outcome(sparse.subset(idx)))
-        for fit in fits:
-            assert fit.evaluations == 1 + fit.iterations + fit.halvings
-            assert fit.fallback_steps == 0
-        assert sum(fit.halvings for fit in fits) > 0
+        counts = [(fit.iterations, fit.evaluations, fit.halvings, fit.fallback_steps) for fit in fits]
+
+        def log_cosh(theta):
+            t = theta[:, 0]
+            return (-np.log(np.cosh(t)), -np.tanh(t)[:, None], (-1.0 / np.cosh(t) ** 2)[:, None, None],
+                    np.ones(t.size, dtype=bool))
+
+        theta, _, ((_, gnorm, overshoot),) = _newton_maximize(log_cosh, np.array([[1.5]]), (), "test problem")
+        assert gnorm <= 1e-8 and abs(theta[0, 0]) <= 1e-8
+        counts.append(overshoot)
+        for iterations, evaluations, halvings, fallback_steps in counts:
+            assert evaluations == 1 + iterations + halvings
+            assert fallback_steps == 0
+        assert sum(halvings for _, _, halvings, _ in counts) > 0
 
     def test_damped_gradient_directions_are_counted(self):
         # maximize -log(1 + t^2): the Hessian is positive for |t| > 1, so a
@@ -671,6 +684,109 @@ class TestStackInvariance:
         assert ["single value" in str(e) for e in errors[:3]] == [True, True, False]
         assert "never observed" in str(errors[3]) and "rank-deficient" in str(errors[4])
         assert errors[5] is None
+
+
+class TestRankChecksAndStarts:
+    """One SVD of the outcome design decides both fits' rank checks, and both
+    fits start from least-squares fits to the data."""
+
+    def test_one_svd_decides_both_rank_checks(self, rng, monkeypatch):
+        # a full-rank (1, x, m, x*m) has a full-rank (1, x), so (1, x) is
+        # decomposed only where (1, x, m, x*m) is rank-deficient; errors and
+        # messages are those of the single fits, the mediator's first
+        regular = [_sim(80, seed) for seed in range(6)]
+        x = rng.normal(1.0, 1.0, 80)
+        m = np.arange(80) % 2
+        y = np.arange(80) % 3 + 1
+        only_outcome = _dataset(np.where(m == 1, 1.0, x), m, y, J=3)  # x*m == m
+        both = _dataset(np.full(80, 2.0), m, y, J=3)  # constant x
+        datasets = regular[:2] + [only_outcome] + regular[2:4] + [both] + regular[4:]
+        shapes = []
+        matrix_rank = np.linalg.matrix_rank
+        monkeypatch.setattr(np.linalg, "matrix_rank", lambda a: shapes.append(a.shape) or matrix_rank(a))
+        _, _, errors = _fit_pairs(_Stack.of(datasets))
+        assert shapes == [(8, 80, 4), (2, 80, 2)]
+        for data, error in zip(datasets, errors):
+            try:
+                fit_mediator(data)
+                fit_outcome(data)
+            except DegenerateDataError as exc:
+                assert f"{type(error).__name__}: {error}" == f"{type(exc).__name__}: {exc}"
+            else:
+                assert error is None
+        assert [i for i, error in enumerate(errors) if error is not None] == [2, 5]
+        assert "outcome design matrix" in str(errors[2]) and "mediator design matrix" in str(errors[5])
+        shapes.clear()
+        _fit_pairs(_Stack.of(regular))
+        assert shapes == [(6, 80, 4)]
+
+    def test_singular_start_solve_falls_back_per_problem(self, rng):
+        # a covariate equal to x plus 1e-9 noise passes the SVD check, but
+        # both start Gram matrices are singular to working precision and
+        # the stacked solve raises: that problem starts from the plain start
+        # (zero slopes), and the regular problems keep bitwise their single
+        # fits
+        regular = []
+        for seed in range(4):
+            mediator, outcome = random_model_pair(rng, J=3, p=1)
+            regular.append(simulate_dataset(SimulationDesign(
+                n=200, mean_x=0.0, sd_x=1.0, mediator=mediator, outcome=outcome, seed=seed,
+                cov_means=(0.0,), cov_sds=(1.0,),
+            )))
+        noise = np.random.default_rng(4)
+        x = noise.normal(0.0, 1.0, 200)
+        m = (noise.random(200) < expit(0.5 * x)).astype(np.int64)
+        y = 1 + (noise.random(200) < 0.4) + (noise.random(200) < 0.3)
+        collinear = _dataset(x, m, y, 3, (x + 1e-9 * noise.normal(size=200))[:, None])
+        _, gram, deficient = ordmed.estimation._designs(_Stack.of([collinear]))
+        assert not deficient[0]
+        for block in (gram[:, [0, 1, 4]][:, :, [0, 1, 4]], gram):  # (1, x, c), then (1, x, m, x*m, c)
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(block, np.ones(block.shape[:2])[:, :, None])
+        datasets = regular[:2] + [collinear] + regular[2:]
+        stack = _Stack.of(datasets)
+        for stacked, fit in ((_fit_mediators(stack), fit_mediator), (_fit_outcomes(stack), fit_outcome)):
+            # from the plain start, as before the data-driven starts, both
+            # fits of the collinear problem end in a diverging parameter norm
+            assert isinstance(stacked[2], SeparationError)
+            for data, got in zip(datasets, stacked):
+                try:
+                    alone = fit(data)
+                except (DegenerateDataError, ConvergenceError) as exc:
+                    assert f"{type(got).__name__}: {got}" == f"{type(exc).__name__}: {exc}"
+                    continue
+                assert _bits(got) == _bits(alone)
+        assert all(error is None for i, error in enumerate(_fit_pairs(stack)[2]) if i != 2)
+
+    def test_starts_are_the_least_squares_fits(self, rng, monkeypatch):
+        # the mediator starts at glm's first IRLS step from mu = (m + 1/2)/2,
+        # the outcome at the regression of each record's logit of its level's
+        # mid-cumulative marginal frequency on (1, W), thresholds shifted by
+        # mean(W) beta; checked against lstsq on a J=4 design with covariates
+        mediator, outcome = random_model_pair(rng, J=4, p=2)
+        data = simulate_dataset(SimulationDesign(
+            n=300, mean_x=0.0, sd_x=1.0, mediator=mediator, outcome=outcome, seed=8,
+            cov_means=(0.0, 0.0), cov_sds=(1.0, 1.0),
+        ))
+        starts = []
+        newton = ordmed.estimation._newton_maximize
+        monkeypatch.setattr(ordmed.estimation, "_newton_maximize",
+                            lambda fun, theta0, *rest: starts.append(theta0[0].copy()) or newton(fun, theta0, *rest))
+        fit_mediator(data)
+        fit_outcome(data)
+        def logit(p):
+            return np.log(p / (1.0 - p))
+
+        mu = (data.m + 0.5) / 2.0
+        Z = np.column_stack([np.ones(data.n), data.x, data.covariates])
+        expected = np.linalg.lstsq(Z, logit(mu) + (data.m - mu) / (mu * (1.0 - mu)), rcond=None)[0]
+        np.testing.assert_allclose(starts[0], expected, rtol=1e-10, atol=1e-12)
+        F = np.concatenate([[0.0], np.cumsum(np.bincount(data.y, minlength=5)[1:]) / data.n])
+        W = _outcome_design(data)
+        coef = np.linalg.lstsq(np.column_stack([np.ones(data.n), W]), logit((F[data.y - 1] + F[data.y]) / 2.0),
+                               rcond=None)[0]
+        expected = np.concatenate([logit(F[1:4]) + W.mean(axis=0) @ coef[1:], coef[1:]])
+        np.testing.assert_allclose(starts[1], expected, rtol=1e-10, atol=1e-12)
 
 
 class TestFitMediator:

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import ordmed.inference
 from ordmed import (
     ConvergenceError,
     DegenerateDataError,
@@ -192,14 +193,26 @@ class TestMonteCarloStudy:
         table = effect_table(QUERY, fit_mediator(data).model, fit_outcome(data).model)
         assert np.array_equal(summary.estimates[0], table.flatten())
 
-    def test_replicates_equal_per_replicate_enumeration(self):
+    def test_replicates_equal_per_replicate_enumeration(self, monkeypatch):
         # the Monte Carlo analogue of acceptance criterion 7(a): fitting in
         # stacks gives bitwise the estimates of replaying each replicate
-        # through the public API, across several stacks; at n=40 some
-        # replicates fail, and exactly the enumeration's failures are listed
+        # through the public API, across several stacks (a budget of 16
+        # problems per stack gives 3 and 4 stacks); at n=40 some replicates
+        # fail, and exactly the enumeration's failures are listed
+        stacks = []
+
+        def recorded(stack):
+            stacks.append(len(stack.y))
+            return fit_pairs(stack)
+
+        fit_pairs = ordmed.inference._fit_pairs
+        monkeypatch.setattr(ordmed.inference, "_fit_pairs", recorded)
         for n, seed, R in ((150, 4242, 37), (40, 3, 60)):
+            monkeypatch.setattr(ordmed.inference, "_STACK_RECORDS", 16 * n)
             design = dataclasses.replace(SPARSE_DESIGN, n=n, seed=seed)
+            stacks.clear()
             summary = monte_carlo_study(design, R, QUERY)
+            assert len(stacks) >= 3 and sum(stacks) == R
             rows, failed = [], []
             for r in range(R):
                 data = simulate_dataset(dataclasses.replace(design, seed=replicate_seed(seed, r)))
