@@ -557,6 +557,34 @@ class TestEngineExits:
         assert np.all(np.isnan(ses[0]))
         assert ses[1].tobytes() == _standard_errors(-alone_hess)[0].tobytes()
 
+    def test_mixed_stack_of_halving_damped_and_exact_problems_equals_single_problems(self):
+        # one stack whose problems leave the loop by different routes: a
+        # full step that overshoots and is halved (-log cosh t from 1.5),
+        # damped gradient steps before Newton takes over (-log(1 + t^2) from
+        # 2 and 1.5), one exact step (-(t - 1)^2 from 0) and a start at the
+        # optimum (-(t - 1)^2 from 1); each ends bitwise as it does alone
+        def fun(theta, kind):
+            t = theta[:, 0]
+            ll = np.where(kind == 0, -np.log(np.cosh(t)), np.where(kind == 1, -np.log1p(t * t), -(t - 1.0) ** 2))
+            grad = np.where(kind == 0, -np.tanh(t), np.where(kind == 1, -2.0 * t / (1.0 + t * t), -2.0 * (t - 1.0)))
+            hess = np.where(kind == 0, -1.0 / np.cosh(t) ** 2,
+                            np.where(kind == 1, -2.0 * (1.0 - t * t) / (1.0 + t * t) ** 2, -2.0))
+            return ll, grad[:, None], hess[:, None, None], np.ones(t.size, dtype=bool)
+
+        theta0 = np.array([[1.5], [2.0], [1.5], [0.0], [1.0]])
+        kind = np.array([0, 1, 1, 2, 2])
+        theta, hess, outcomes = _newton_maximize(fun, theta0, (kind,), "test problem")
+        for s in range(len(kind)):
+            alone_theta, alone_hess, (alone,) = _newton_maximize(fun, theta0[s:s + 1], (kind[s:s + 1],),
+                                                                  "test problem")
+            assert outcomes[s] == alone
+            assert theta[s].tobytes() == alone_theta[0].tobytes()
+            assert hess[s].tobytes() == alone_hess[0].tobytes()
+        counts = [outcome[2] for outcome in outcomes]
+        assert counts[3] == (1, 2, 0, 0) and counts[4] == (0, 1, 0, 0)
+        assert sum(halvings for _, _, halvings, _ in counts) > 0
+        assert sum(damped for _, _, _, damped in counts) > 0
+
     def test_non_finite_start_fails_only_its_problem(self):
         def fun(theta, w):
             ll, grad, hess, ok = _quadratic(theta, np.ones_like(w))
