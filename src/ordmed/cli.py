@@ -215,8 +215,8 @@ def _add_design_args(parser):
 # shared pieces
 
 def _split_list(text):
-    """The entries of a comma-separated list flag, parsed as reals by the model they go to."""
-    return () if text is None else tuple(tok for tok in text.split(",") if tok.strip())
+    """The entries of a comma-separated list flag, an empty one included, parsed as reals by the model they go to."""
+    return () if text is None else tuple(text.split(","))
 
 
 def _load_params(path):

@@ -304,10 +304,7 @@ def _fail(errors, mask, error_of):
 def _least_squares(errors, gram, rhs):
     # per problem, gram^-1 rhs, or zero (the plain start) where gram is singular; failed problems' rows are unused
     gram = np.where(np.equal(errors, None)[:, None, None], gram, np.eye(gram.shape[1]))
-    try:
-        coef = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        coef = np.stack([_solved_or_nan(g, r) for g, r in zip(gram, rhs)])
+    coef = _solve_each(gram, rhs[:, :, None])[:, :, 0]
     return np.where(np.isfinite(coef).all(axis=1)[:, None], coef, 0.0)
 
 
@@ -466,12 +463,11 @@ def _newton_maximize(fun, theta0, args, what):
     outcomes = [None] * S
 
     # per running problem: its index in the stack, log-likelihood, max
-    # |gradient|, step length, candidates rejected since its last accepted
-    # step, and counts (iterations, evaluations, halvings, damped directions)
+    # |gradient|, candidates rejected since its last accepted step (its step
+    # is 2^-rejected) and counts (iterations, evaluations, halvings, damped directions)
     ids = list(range(S))
     lls = ll.tolist()
     gnorms = np.abs(grad).max(axis=1).tolist()
-    steps = [1.0] * S
     rejected = [0] * S
     counts = [[0, 1, 0, 0] for _ in range(S)]
     stopped = []
@@ -481,7 +477,6 @@ def _newton_maximize(fun, theta0, args, what):
             stopped.append(i)
         elif not gnorms[i] > GRADIENT_TOL:
             stopped.append(i)
-    direction = np.empty_like(theta)
 
     while True:
         if stopped:
@@ -493,38 +488,27 @@ def _newton_maximize(fun, theta0, args, what):
             keep = [i for i in range(len(ids)) if i not in stopped]
             if not keep:
                 return final_theta, final_hess, outcomes
-            theta, grad, hess, direction = theta[keep], grad[keep], hess[keep], direction[keep]
+            theta, grad, hess = theta[keep], grad[keep], hess[keep]
             args = tuple(a[keep] for a in args)
-            ids, lls, gnorms, steps, rejected, counts = (
-                [v[i] for i in keep] for v in (ids, lls, gnorms, steps, rejected, counts)
-            )
+            ids, lls, gnorms, rejected, counts = ([v[i] for i in keep] for v in (ids, lls, gnorms, rejected, counts))
 
-        # a new search direction for every problem whose last candidate was accepted
-        fresh = [i for i, r in enumerate(rejected) if r == 0]
-        if len(fresh) == len(ids):
-            direction, usable = _ascent_directions(grad, hess)
-            cand = theta + direction  # every step is 1
-        else:
-            usable = []
-            if fresh:
-                direction[fresh], usable = _ascent_directions(grad[fresh], hess[fresh])
-            cand = theta + np.array(steps)[:, None] * direction
-        if not all(usable):
-            for i, ok in zip(fresh, usable):
-                counts[i][3] += not ok
+        # the search directions; after a rejected candidate a problem's
+        # gradient and Hessian, and so its direction, are those of the last round
+        direction, usable = _ascent_directions(grad, hess)
+        for i, ok in enumerate(usable):
+            counts[i][3] += rejected[i] == 0 and not ok
+        cand = theta + np.ldexp(1.0, np.negative(rejected))[:, None] * direction
 
         cll, cgrad, chess, _ = fun(cand, *args)
         # max |gradient| and max |theta| of every candidate
         cnorms, cmax = np.abs(np.concatenate([cgrad[None], cand[None]])).max(axis=2).tolist()
-        accepted = []
         stopped = []
         for i, (prev, new) in enumerate(zip(lls, cll.tolist())):
             count = counts[i]
             count[1] += 1
             band = _LOGLIK_RTOL * (abs(prev) + 1.0)
             if math.isfinite(new) and new >= prev - band and (new > prev + band or cnorms[i] < gnorms[i]):
-                accepted.append(i)
-                lls[i], gnorms[i], steps[i], rejected[i] = new, cnorms[i], 1.0, 0
+                lls[i], gnorms[i], rejected[i] = new, cnorms[i], 0
                 count[0] += 1
                 if cmax[i] > _DIVERGENCE_NORM:
                     outcomes[ids[i]] = SeparationError(
@@ -540,15 +524,12 @@ def _newton_maximize(fun, theta0, args, what):
                     continue
                 stopped.append(i)
             else:
+                cand[i], cgrad[i], chess[i] = theta[i], grad[i], hess[i]  # the problem keeps its state
                 count[2] += 1
-                steps[i] *= 0.5
                 rejected[i] += 1
                 if rejected[i] > _MAX_HALVINGS:  # every halving rejected: converged
                     stopped.append(i)
-        if len(accepted) == len(ids):
-            theta, grad, hess = cand, cgrad, chess
-        elif accepted:
-            theta[accepted], grad[accepted], hess[accepted] = cand[accepted], cgrad[accepted], chess[accepted]
+        theta, grad, hess = cand, cgrad, chess
 
 
 def _ascent_directions(grad, hess):
@@ -556,20 +537,27 @@ def _ascent_directions(grad, hess):
     Hessian is not usable.  Returns the directions and, per problem, whether
     the Newton direction was used: it is used when it is finite and an
     ascent direction, 0 < grad . d < inf."""
+    direction = _solve_each(-hess, grad[:, :, None])[:, :, 0]
+    usable = [0.0 < slope < math.inf for slope in np.vecdot(grad, direction).tolist()]
+    for s, ok in enumerate(usable):
+        if not ok:  # Hessian not negative definite here: fall back to a damped gradient step
+            direction[s] = grad[s] / (np.abs(hess[s].diagonal()).max() + 1.0)
+    return direction, usable
+
+
+def _solve_each(a, b):
+    """a^-1 b for every problem of a stack: a (S, d, d), b (S, d, k).  numpy's
+    stacked solve raises LinAlgError for the whole stack when any one a is
+    singular, so then each problem is solved alone, and only the singular
+    ones get NaN."""
     try:
-        newton = np.linalg.solve(-hess, grad[:, :, None])[:, :, 0]
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        newton = np.stack([_solved_or_nan(-h, g) for h, g in zip(hess, grad)])
-    usable = [0.0 < slope < math.inf for slope in np.vecdot(grad, newton).tolist()]
-    if all(usable):
-        return newton, usable
-    # Hessian not negative definite here: fall back to a damped gradient step.
-    damped = grad / (np.abs(hess.diagonal(axis1=1, axis2=2)).max(axis=1) + 1.0)[:, None]
-    return np.where(np.array(usable)[:, None], newton, damped), usable
+        return np.stack([_solved_or_nan(ai, bi) for ai, bi in zip(a, b)])
 
 
 def _solved_or_nan(a, b):
-    # a^-1 b, or NaN where a is singular; a 2-D b = eye gives the inverse
+    # a^-1 b, or NaN where a is singular
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
@@ -580,11 +568,7 @@ def _standard_errors(information):
     """sqrt(diag(inv(information))) of a stack (S, d, d) of observed
     information matrices; a row is NaN when its information is not positive
     definite."""
-    try:
-        cov = np.linalg.inv(information)
-    except np.linalg.LinAlgError:
-        eye = np.eye(information.shape[1])
-        cov = np.stack([_solved_or_nan(a, eye) for a in information])
+    cov = _solve_each(information, np.broadcast_to(np.eye(information.shape[1]), information.shape))
     diag = cov.diagonal(axis1=1, axis2=2)
     positive = ((diag > 0.0) & (diag < np.inf)).all(axis=1)
     return np.sqrt(np.where(positive[:, None], diag, np.nan))

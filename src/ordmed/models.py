@@ -155,8 +155,10 @@ def _parameters(model):
 class Dataset:
     """Validated sample with J outcome levels and p covariates.
 
-    Column arrays are the storage (and are frozen read-only).  Construct
-    through :func:`validate_dataset` unless the arrays are already known-valid.
+    Column arrays are the storage (and are frozen read-only).  Construction
+    rejects an m outside {0, 1} and a y that is not an integer column in
+    1..J, naming the first such row; :func:`validate_dataset` checks raw
+    records and lists every bad one.
     """
 
     x: np.ndarray
@@ -174,6 +176,14 @@ class Dataset:
             raise ValueError(f"covariates must have shape ({n}, {self.p})")
         if n == 0:
             raise DataValidationError("dataset is empty")
+        # y indexes per-level arrays, so a float column fails even where its values are whole
+        integer = np.issubdtype(self.y.dtype, np.integer)
+        for name, column, ok, rule in (("m", self.m, (self.m == 0) | (self.m == 1), "0 or 1"),
+                                       ("y", self.y, integer & (self.y >= 1) & (self.y <= self.J),
+                                        f"integers in 1..{self.J}")):
+            if not ok.all():
+                row = int(np.flatnonzero(~ok)[0])
+                raise DataValidationError(f"column {name} must hold {rule}; row {row} holds {column[row].item()!r}")
         for arr in (self.x, self.m, self.y, self.covariates):
             arr.flags.writeable = False
 

@@ -559,6 +559,7 @@ class TestInputRules:
     @pytest.mark.parametrize("flags, reason", [
         (["--seed", "-1"], f"seed must be a whole number in [0, {2**64})"),
         (["--level", "1.5"], "level must lie in (0, 1), got 1.5"),
+        (["--c", ","], "every entry of c must be a real number, got ''"),
     ])
     def test_analyze_checks_seed_and_level_without_the_bootstrap(self, tmp_path, capsys, flags, reason):
         data_csv = tmp_path / "data.csv"
@@ -588,6 +589,8 @@ class TestInputRules:
 
     @pytest.mark.parametrize("flags, reason", [
         (["--alpha", "-0.9,x"], "every entry of alpha must be a real number, got 'x'"),
+        (["--alpha", "2.5,,5.5"], "every entry of alpha must be a real number, got ''"),
+        (["--alpha", "-0.9,0.9,2.2,3.5,"], "every entry of alpha must be a real number, got ''"),
         (["--cov-means", "inf", "--cov-sds", "1", "--gamma-c", "0", "--beta-c", "0"],
          "every entry of cov_means must be finite"),
         (["--n", "0"], "n must be a whole number >= 1"),

@@ -533,7 +533,7 @@ class TestEngineExits:
         original = ordmed.estimation._solved_or_nan
 
         def solved_or_nan(a, b):
-            fallbacks.append(b.ndim)
+            fallbacks.append(b.shape[-1])
             return original(a, b)
 
         monkeypatch.setattr(ordmed.estimation, "_solved_or_nan", solved_or_nan)

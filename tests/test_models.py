@@ -4,6 +4,8 @@ Expected values tagged as oracle-frozen were computed with a 40-digit mpmath
 evaluation of the same closed forms (see test_frozen_constants_match_oracle).
 """
 
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -196,6 +198,21 @@ class TestDatasetConstruction:
         x, m, y, _ = self.columns()
         with pytest.raises(ValueError, match=r"covariates must have shape \(3, 1\)"):
             Dataset(x, m, y, np.zeros(shape), 2, 1)
+
+    @pytest.mark.parametrize("column, values, reason", [
+        (1, [0, 2, 0], "column m must hold 0 or 1; row 1 holds 2"),
+        (1, [0.0, 1.0, 0.5], "column m must hold 0 or 1; row 2 holds 0.5"),
+        (2, [1, 3, 1], "column y must hold integers in 1..2; row 1 holds 3"),
+        (2, [1, 1, 0], "column y must hold integers in 1..2; row 2 holds 0"),
+        (2, [1.0, 2.0, 1.0], "column y must hold integers in 1..2; row 0 holds 1.0"),
+    ])
+    def test_mediator_and_outcome_values_are_checked(self, column, values, reason):
+        # a directly built Dataset fails here, naming its column, rather than
+        # later in a fit with a misleading or numpy-level error
+        columns = list(self.columns())
+        columns[column] = np.array(values)
+        with pytest.raises(DataValidationError, match=re.escape(reason)):
+            Dataset(*columns, 2, 0)
 
 
 class TestValidateDataset:
