@@ -245,6 +245,51 @@ class TestValidateDataset:
         assert len(err.value.problems) == 3
         assert {p[0] for p in err.value.problems} == {0, 1, 2}
 
+    def test_every_problem_in_row_and_field_order(self):
+        rows = [
+            ("0.1", "0", "1", "0.5", "1"),
+            ("abc", "2", "2.5", "inf", "x"),
+            ("0.3", "1", "3"),
+            (" 0.4 ", "0.5", "9", "1_0", None),
+            ("nan", "1", "2", "0", "0"),
+        ]
+        with pytest.raises(DataValidationError) as err:
+            validate_dataset(rows, J=3, p=2)
+        assert err.value.problems == (
+            (1, "x", "value must be a real number, got 'abc'"),
+            (1, "m", "must be 0 or 1, got '2'"),
+            (1, "y", "must be an integer in 1..3, got '2.5'"),
+            (1, "c1", "value must be finite, got inf"),
+            (1, "c2", "value must be a real number, got 'x'"),
+            (2, "row", "expected 5 fields (x, m, y, c1..c2), got 3"),
+            (3, "m", "must be 0 or 1, got '0.5'"),
+            (3, "y", "must be an integer in 1..3, got '9'"),
+            (3, "c2", "value must be a real number, got None"),
+            (4, "x", "value must be finite, got nan"),
+        )
+        assert str(err.value).startswith("10 invalid value(s) in 5 records:\nrow 1: field x: ")
+
+        # numeric strings, bools and numpy scalars, with J given and inferred
+        valid = [
+            (" 0.4 ", True, "3", "1_0", np.float32(0.5)),
+            (np.float64(-1.5), np.int64(0), 1.0, False, "-0.0"),
+            (2, "1", np.int32(2), np.float64(2.25), 7),
+        ]
+        for J in (3, None):
+            data = validate_dataset(valid, J=J, p=2)
+            assert data.J == 3 and data.n == 3 and data.p == 2
+            assert data.x.dtype == np.float64 and data.covariates.dtype == np.float64
+            assert data.m.dtype == np.int64 and data.y.dtype == np.int64
+            assert data.x.shape == data.m.shape == data.y.shape == (3,)
+            assert data.covariates.shape == (3, 2)
+            for column in (data.x, data.m, data.y, data.covariates):
+                assert column.flags.c_contiguous
+            assert data.x.tolist() == [0.4, -1.5, 2.0]
+            assert data.m.tolist() == [1, 0, 1]
+            assert data.y.tolist() == [3, 1, 2]
+            assert data.covariates.tolist() == [[10.0, 0.5], [0.0, -0.0], [2.25, 7.0]]
+            assert np.signbit(data.covariates[1, 1])
+
     def test_ragged_covariates(self):
         with pytest.raises(DataValidationError) as err:
             validate_dataset([(0.1, 0, 1, 0.5), (0.2, 1, 2)], J=2, p=1)
