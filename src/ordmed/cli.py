@@ -7,11 +7,12 @@ Subcommands
     simulate   draw a dataset from a parametric design
     mc-study   replicate simulate+fit+effects and summarise
 
-File conventions: data CSVs have a header row ``x,m,y[,c1..cp]`` (UTF-8,
-``.`` decimal separator); parameter files are JSON with explicit field names
-(gamma0, gammaX, gammaC, alpha, betaX, betaM, betaXM, betaC).  Every output
-starts with a ``# key: value`` metadata block (tool version, full command
-line, seed) sufficient to reproduce the run; readers here skip ``#`` lines.
+File conventions: data CSVs have a header row ``x,m,y[,c1..cp]`` (UTF-8, a
+leading byte-order mark skipped; ``.`` decimal separator); parameter files
+are JSON with explicit field names (gamma0, gammaX, gammaC, alpha, betaX,
+betaM, betaXM, betaC).  Every output starts with a ``# key: value`` metadata
+block (tool version, full command line, seed) sufficient to reproduce the
+run; readers here skip ``#`` lines.
 
 Exit codes: 0 success; 1 validation error or data that cannot be fitted,
 including a bootstrap whose every resample failed (no report is written);
@@ -36,8 +37,8 @@ from . import __version__
 from .effects import EffectQuery, EffectTable, effect_labels, effect_table
 from .estimation import FitResult, fit_mediator, fit_outcome, parameter_labels
 from .exceptions import ConsistencyError, ConvergenceError, MediationError
-from .inference import _level, bootstrap_effects
-from .models import MediatorModel, OutcomeModel, _parameters, _seed, validate_dataset
+from .inference import bootstrap_effects
+from .models import MediatorModel, OutcomeModel, _level, _parameters, _seed, validate_dataset
 from .simulation import RNG_INFO, SimulationDesign, monte_carlo_study, simulate_dataset
 
 EXIT_OK = 0
@@ -241,7 +242,7 @@ def _load_params(path):
 def _read_data_csv(path):
     """Rows and covariate count from a data CSV; '#' metadata lines are skipped."""
     try:
-        fh = open(path, encoding="utf-8", newline="")
+        fh = open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     with fh:
@@ -339,11 +340,19 @@ def _none_if_nan(value):
     return None if math.isnan(v) else v
 
 
+def _odds_ratio(log_odds_ratio):
+    """exp of a log odds ratio, or None (null in JSON) where that overflows a float."""
+    try:
+        return math.exp(log_odds_ratio)
+    except OverflowError:
+        return None
+
+
 def _effect_entries(table: EffectTable):
     labels = effect_labels(table.J)
     values = table.flatten()
     return [
-        {"effect": eff, "level": lvl, "log_odds_ratio": float(v), "odds_ratio": math.exp(v)}
+        {"effect": eff, "level": lvl, "log_odds_ratio": float(v), "odds_ratio": _odds_ratio(v)}
         for (eff, lvl), v in zip(labels, values)
     ]
 
@@ -427,8 +436,8 @@ def cmd_analyze(args, argv):
             entry["boot_sd"] = _none_if_nan(boot.boot_sd[k])
             entry["ci_lower"] = float(boot.ci_lower[k])
             entry["ci_upper"] = float(boot.ci_upper[k])
-            entry["or_ci_lower"] = math.exp(float(boot.ci_lower[k]))
-            entry["or_ci_upper"] = math.exp(float(boot.ci_upper[k]))
+            entry["or_ci_lower"] = _odds_ratio(boot.ci_lower[k])
+            entry["or_ci_upper"] = _odds_ratio(boot.ci_upper[k])
 
     extra = [("n", str(data.n)), ("levels", str(data.J)), ("covariates", str(data.p))]
     if boot is not None:

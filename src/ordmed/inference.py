@@ -22,7 +22,7 @@ import numpy as np
 from .effects import EffectQuery, EffectTable, _effect_rows, effect_labels, effect_table
 from .estimation import FitResult, _fit_pairs, _Stack, fit_mediator, fit_outcome
 from .exceptions import DegenerateDataError
-from .models import Dataset, _seed, _whole
+from .models import Dataset, _level, _seed, _whole
 from .numerics import keyed_stream
 
 _BOOTSTRAP_DOMAIN = 2
@@ -46,13 +46,6 @@ def quantile(sorted_sample, q):
     lo = int(np.floor(h))
     hi = min(lo + 1, s.size - 1)
     return float(s[lo] + (h - lo) * (s[hi] - s[lo]))
-
-
-def _level(value):
-    """A confidence level: a real number in (0, 1)."""
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {value!r}")
-    return value
 
 
 def percentile_interval(sample, level):

@@ -1,7 +1,7 @@
 """Parametric building blocks: the logistic mediator regression, the
 proportional-odds outcome regression, validated observation data, and the
-input rules every module applies (whole numbers, finite reals, seeds, and a
-model's dimensions against a dataset's).
+input rules every module applies (whole numbers, finite reals, seeds,
+confidence levels, and a model's dimensions against a dataset's).
 
 Outcome levels are coded 1..J externally; thresholds are indexed 1..J-1.
 Probabilities are never clamped: invalid parameter vectors are rejected at
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,14 @@ def _whole(value, name, low, high=None):
 def _seed(value):
     """A seed of the keyed streams: a whole number in [0, 2**64)."""
     return _whole(value, "seed", 0, 2**64)
+
+
+def _level(value):
+    """A confidence level: a real number in (0, 1)."""
+    level = _finite_scalar(value, "level")
+    if not 0.0 < level < 1.0:
+        raise ModelSpecError(f"level must lie in (0, 1), got {value!r}")
+    return level
 
 
 def _covariate_vector(c, p, owner):
@@ -240,43 +249,23 @@ def validate_dataset(records, J=None, p=0):
     levels = f"1..{J}" if J is not None else f"1..{len(rows)} (J is inferred: at most one level per record)"
     top = len(rows) if J is None else J
 
-    problems = []
-
-    def number(i, field, value):
-        try:
-            return _finite_scalar(value, "value")
-        except ModelSpecError as exc:
-            problems.append((i, field, str(exc)))
-            return None
-
-    width = 3 + p
-    xs = np.empty(len(rows))
-    ms = np.empty(len(rows), dtype=np.int64)
-    ys = np.empty(len(rows), dtype=np.int64)
-    cs = np.empty((len(rows), p))
+    fields = ("x", "m", "y", *(f"c{k}" for k in range(1, p + 1)))
+    cells, problems = array("d"), []  # raw doubles, row-major: a list would keep a float object per cell
     for i, row in enumerate(rows):
-        if len(row) != width:
-            problems.append((i, "row", f"expected {width} fields (x, m, y{', c1..c%d' % p if p else ''}), got {len(row)}"))
+        if len(row) != len(fields):
+            problems.append((i, "row", f"expected {len(fields)} fields (x, m, y{', c1..c%d' % p if p else ''}), got {len(row)}"))
             continue
-        v = number(i, "x", row[0])
-        if v is not None:
-            xs[i] = v
-        v = number(i, "m", row[1])
-        if v is not None:
-            if v in (0.0, 1.0):
-                ms[i] = int(v)
-            else:
-                problems.append((i, "m", f"must be 0 or 1, got {row[1]!r}"))
-        v = number(i, "y", row[2])
-        if v is not None:
-            if v.is_integer() and 1 <= v <= top:
-                ys[i] = int(v)
-            else:
-                problems.append((i, "y", f"must be an integer in {levels}, got {row[2]!r}"))
-        for k in range(p):
-            v = number(i, f"c{k + 1}", row[3 + k])
-            if v is not None:
-                cs[i, k] = v
+        for field, value in zip(fields, row):
+            try:
+                v = _finite_scalar(value, "value")
+            except ModelSpecError as exc:
+                problems.append((i, field, str(exc)))
+                continue
+            if field == "m" and v not in (0.0, 1.0):
+                problems.append((i, field, f"must be 0 or 1, got {value!r}"))
+            elif field == "y" and not (v.is_integer() and 1 <= v <= top):
+                problems.append((i, field, f"must be an integer in {levels}, got {value!r}"))
+            cells.append(v)
 
     if problems:
         lines = [f"row {i}: field {field}: {reason}" for i, field, reason in problems]
@@ -284,9 +273,11 @@ def validate_dataset(records, J=None, p=0):
             f"{len(problems)} invalid value(s) in {len(rows)} records:\n" + "\n".join(lines),
             problems,
         )
+    cells = np.frombuffer(cells).reshape(len(rows), len(fields))
+    m, y = cells[:, 1].astype(np.int64), cells[:, 2].astype(np.int64)
     if J is None:
-        J = _whole(int(ys.max()), "J", 2)
-    return Dataset(xs, ms, ys, cs, J, p)
+        J = _whole(int(y.max()), "J", 2)
+    return Dataset(cells[:, 0].copy(), m, y, cells[:, 3:].copy(), J, p)
 
 
 # The one implementation of each predictor and probability.  Arguments are

@@ -538,6 +538,16 @@ class TestInputRules:
         assert main(["fit", "--data", str(data_csv), "--out", str(tmp_path / "f.csv")]) == EXIT_VALIDATION
         assert "dataset is empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("comment", ["", "# tool: spreadsheet\n"], ids=["header-first", "comment-first"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, comment):
+        # spreadsheet tools save "CSV UTF-8" with a leading U+FEFF
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(comment + SIX_ROWS, encoding="utf-8")
+        marked.write_text("\ufeff" + comment + SIX_ROWS, encoding="utf-8")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert ordmed.cli._read_data_csv(marked) == ordmed.cli._read_data_csv(plain)
+        assert main(["fit", "--data", str(marked), "--out", str(tmp_path / "f.csv")]) == EXIT_OK
+
     def test_single_level_still_rejected(self, tmp_path, capsys):
         data_csv = tmp_path / "data.csv"
         data_csv.write_text("x,m,y\n0.1,0,1\n0.4,1,1\n")
@@ -746,6 +756,16 @@ class TestFormatParity:
         rows, payload = run_both_formats(tmp_path, [
             "effects", "--params", str(DATA_DIR / "params_j5.json"), "--x", "3.5", "--xstar", "2"])
         assert_same_records(rows, payload["effects"])
+
+    def test_effects_with_an_overflowing_odds_ratio(self, tmp_path):
+        # exp(1500) overflows a float: the odds ratio is null, its log stays exact
+        params = json.loads((DATA_DIR / "params_j3.json").read_text())
+        params_json = tmp_path / "params.json"
+        params_json.write_text(json.dumps({**params, "betaX": 1000}))
+        rows, payload = run_both_formats(tmp_path, [
+            "effects", "--params", str(params_json), "--x", "3.5", "--xstar", "2"])
+        assert_same_records(rows, payload["effects"])
+        assert [e["odds_ratio"] for e in payload["effects"] if e["effect"] == "cde"] == [None, None]
 
     def test_fit(self, tmp_path):
         data_csv = tmp_path / "data.csv"

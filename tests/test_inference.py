@@ -1,6 +1,8 @@
 """Percentile bootstrap: quantile convention, hand-enumerated oracles,
 determinism, failure policy, and coverage sanity."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -206,6 +208,16 @@ class TestBootstrapEffects:
             bootstrap_effects(data, QUERY, 0, seed=1)
         with pytest.raises(ValueError):
             bootstrap_effects(data, QUERY, 10, level=1.2, seed=1)
+
+    @pytest.mark.parametrize("level, reason", [
+        (None, "level must be a real number, got None"),
+        ("abc", "level must be a real number, got 'abc'"),
+        (float("nan"), "level must be finite, got nan"),
+    ], ids=["none", "text", "nan"])
+    def test_level_rule(self, level, reason):
+        # the level is an input rule of the models, like the seed and B
+        with pytest.raises(ModelSpecError, match=re.escape(reason)):
+            bootstrap_effects(_study_dataset(40, seed=88), QUERY, 10, level=level, seed=1)
 
     @pytest.mark.parametrize("B, seed", [(2.5, 1), (10, 1.5), (10, -1), (10, 2**64), (10, None)])
     def test_whole_number_rules(self, B, seed):
