@@ -35,9 +35,11 @@ from ordmed import (
 from ordmed.estimation import (
     _MAX_HALVINGS,
     _MAX_ITERATIONS,
+    _bernoulli_parts,
     _fit_mediators,
     _fit_outcomes,
     _fit_pairs,
+    _mediator_design,
     _newton_maximize,
     _outcome_design,
     _proportional_odds_parts,
@@ -46,6 +48,7 @@ from ordmed.estimation import (
 )
 from ordmed.inference import _BOOTSTRAP_DOMAIN
 from ordmed.numerics import expit, keyed_stream
+from ordmed.simulation import _simulate_stack
 
 from conftest import J3_MEDIATOR, J3_OUTCOME, SPARSE_MEDIATOR, SPARSE_OUTCOME, random_model_pair
 
@@ -429,6 +432,120 @@ class TestKernel:
                         - outcome_loglik_gradient(_outcome_model(theta - bump, J), data)
                     ) / (2 * step)
                 assert np.max(np.abs(hess - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def _where_maps(z):
+    # expit(z), expit(-z) and log1pexp(z), branch-wise from exp(-|z|)
+    ez = np.exp(-np.abs(z))
+    large, small = 1.0 / (1.0 + ez), ez / (1.0 + ez)
+    return np.where(z >= 0.0, large, small), np.where(z <= 0.0, large, small), np.maximum(z, 0.0) + np.log1p(ez)
+
+
+def _plain_outcome_parts(alpha, beta, W, y, J):
+    """The stacked proportional-odds kernel written plainly: both threshold
+    logits concatenated, the branch-wise maps, record-sized negations and
+    broadcast weight products.  The kernel must equal it bit for bit."""
+    S, n, q = W.shape
+    K = J - 1
+    eta = (W @ beta[:, :, None])[:, :, 0]
+    ext = np.concatenate([np.full((S, 1), -np.inf), alpha, np.full((S, 1), np.inf)], axis=1)
+    hi = y + np.arange(0, S * (J + 1), J + 1)[:, None]
+    zh, zl = np.concatenate([(ext.ravel()[hi] - eta)[None], (ext.ravel()[hi - 1] - eta)[None]])
+    (a, b), (ac, bc) = _where_maps(np.stack([zh, zl]))[:2]
+    pi = bc * a * (-np.expm1(zl - zh))
+    ok = ~(pi <= 0.0).any(axis=1)
+    pi[~ok] = 1.0
+    ll = np.log(pi).sum(axis=1)
+    fa, fb = a * ac, b * bc
+    ra, rb, s = fa / pi, fb / pi, b * ac / pi
+
+    def per_threshold(index, w):
+        return np.bincount(index.ravel(), weights=w.ravel(), minlength=S * (J + 1)).reshape(S, J + 1)[:, 1:J]
+
+    grad = np.concatenate([per_threshold(hi, ra) - per_threshold(hi - 1, rb),
+                           (W.mT @ (b - ac)[:, :, None])[:, :, 0]], axis=1)
+    hess = np.zeros((S, K + q, K + q))
+    t = np.arange(K)
+    hess[:, t, t] = per_threshold(hi, -ra * (a + s)) + per_threshold(hi - 1, -rb * (bc + s))
+    hess[:, t[:-1], t[1:]] = hess[:, t[1:], t[:-1]] = per_threshold(hi, ra * rb)[:, 1:]
+    cross = np.zeros((S, n, J + 1))
+    np.put_along_axis(cross, y[:, :, None], fa[:, :, None], axis=2)
+    np.put_along_axis(cross, y[:, :, None] - 1, fb[:, :, None], axis=2)
+    hess[:, :K, K:] = cross[:, :, 1:J].mT @ W
+    hess[:, K:, :K] = hess[:, :K, K:].mT
+    hess[:, K:, K:] = -(W.mT @ ((fa + fb)[:, :, None] * W))
+    ll[~ok] = -np.inf
+    grad[~ok] = 0.0
+    hess[~ok] = 0.0
+    return ll, grad, hess, ok
+
+
+def _plain_bernoulli_parts(theta, Z, m):
+    # the stacked logistic-regression kernel written plainly, as above
+    eta = (Z @ theta[:, :, None])[:, :, 0]
+    prob, _, log_norm = _where_maps(eta)
+    hess = -((Z * (prob * (1.0 - prob))[:, :, None]).mT @ Z)
+    return (m * eta - log_norm).sum(axis=1), (Z.mT @ (m - prob)[:, :, None])[:, :, 0], hess, np.ones(len(m), bool)
+
+
+def _simulated_kernel_stack(rng, mediator, outcome, S, n):
+    # S simulated datasets of one design, each evaluated near its
+    # generating parameters
+    design = SimulationDesign(n=n, mean_x=3.0, sd_x=1.5, mediator=mediator, outcome=outcome, seed=1)
+    stack = _simulate_stack(design, [replicate_seed(7, r) for r in range(S)])
+    gamma = np.array([mediator.gamma0, mediator.gammaX]) + rng.normal(0.0, 0.2, (S, 2))
+    theta = np.array([*outcome.alpha, outcome.betaX, outcome.betaM, outcome.betaXM])
+    theta = theta + rng.normal(0.0, 0.2, (S, theta.size))
+    return (gamma, _mediator_design(stack), stack.m.astype(float)), (theta, _outcome_design(stack), stack.y, outcome.J)
+
+
+def _saturated_kernel_stack(rng, S=10, n=240, J=5):
+    # a third of the records have |eta| in (40, 60), where every category
+    # probability but one is tiny, and a ninth have |eta| in (745, 800),
+    # where exp() underflows; those sit in the one level they can reach.
+    # Problem 0 has two thresholds out of order, and problem 1 never
+    # observes levels 3 and 4, so its third threshold has no records.
+    cases = [_kernel_case(rng, J, n, p=1) for _ in range(S)]
+    alpha, beta, W, y = (np.stack(arrays) for arrays in zip(*cases))
+    beta[:, 0] = 1.0
+    band = rng.random((S, n))
+    far = band < 1 / 3
+    W[far, 0] = rng.choice([-1.0, 1.0], far.sum()) * rng.uniform(40.0, 60.0, far.sum())
+    W[far, 1:] = 0.0
+    beyond = band < 1 / 9
+    W[beyond, 0] = np.sign(W[beyond, 0]) * rng.uniform(745.0, 800.0, beyond.sum())
+    y[beyond] = np.where(W[beyond, 0] > 0, J, 1)
+    alpha[0, [1, 2]] = alpha[0, [2, 1]]
+    y[1] = np.where((y[1] == 3) | (y[1] == 4), 2, y[1])
+    Z = np.concatenate([np.ones((S, n, 1)), W[:, :, [0, 3]]], axis=2)
+    gamma = np.column_stack([rng.normal(0.0, 1.0, S), np.ones(S), rng.normal(0.0, 1.0, S)])
+    return (gamma, Z, rng.integers(0, 2, (S, n)).astype(float)), (np.concatenate([alpha, beta], axis=1), W, y, J)
+
+
+class TestKernelsBitwise:
+    """Both stacked kernels equal their plain references bit for bit: on a
+    J=3 stack of 24 x 500 and a sparse J=5 stack of 40 x 300 records, the
+    sizes the resampling drivers use, and on a stack whose records saturate."""
+
+    @pytest.mark.parametrize("case", ["j3", "sparse-j5", "saturated"])
+    def test_kernels_equal_plain_references(self, rng, case):
+        if case == "saturated":
+            bernoulli, outcome = _saturated_kernel_stack(rng)
+        else:
+            mediator, model, S, n = ((J3_MEDIATOR, J3_OUTCOME, 24, 500) if case == "j3"
+                                     else (SPARSE_MEDIATOR, SPARSE_OUTCOME, 40, 300))
+            bernoulli, outcome = _simulated_kernel_stack(rng, mediator, model, S, n)
+        theta, W, y, J = outcome
+        K = J - 1
+        ref = _plain_outcome_parts(theta[:, :K], theta[:, K:], W, y, J)
+        got = _proportional_odds_parts(theta[:, :K], theta[:, K:], W, y, J)
+        assert [r.tobytes() for r in got] == [r.tobytes() for r in ref]
+        assert ref[3].sum() == len(y) - (case == "saturated")
+        if case == "saturated":
+            assert np.abs(W[:, :, 0]).max() > 745.0 and np.bincount(y[1], minlength=6)[3:5].sum() == 0
+            assert np.signbit(ref[2][1, 2, 2]) == 0 and ref[2][1, 2, 2] == 0.0  # +0, bit for bit
+        got, ref = _bernoulli_parts(*bernoulli), _plain_bernoulli_parts(*bernoulli)
+        assert [r.tobytes() for r in got] == [r.tobytes() for r in ref]
 
 
 class TestEvaluationCounts:

@@ -6,7 +6,26 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import ndtri
 
-from ordmed.numerics import expit, inverse_normal_cdf, keyed_stream, log1pexp
+from ordmed.numerics import expit, expit_pair, inverse_normal_cdf, keyed_stream, log1pexp, log1pexp_expit
+
+
+def _where_maps(z):
+    """expit(z), expit(-z) and log1pexp(z) by explicit branches on the sign
+    of z, each from exp(-|z|): a plain reference for the one-pass maps."""
+    z = np.asarray(z, dtype=float)
+    ez = np.exp(-np.abs(z))
+    denom = 1.0 + ez
+    large, small = 1.0 / denom, ez / denom
+    return (np.where(z >= 0.0, large, small), np.where(z <= 0.0, large, small),
+            np.maximum(z, 0.0) + np.log1p(ez))
+
+
+def _same_bits(got, ref):
+    # bit for bit, with every NaN equal to every NaN
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    assert got.shape == ref.shape
+    both_nan = np.isnan(got) & np.isnan(ref)
+    return bool(np.all(both_nan | (got.view(np.uint64) == ref.view(np.uint64))))
 
 
 class TestExpit:
@@ -29,6 +48,42 @@ class TestExpit:
     def test_scalar_in_scalar_out(self):
         assert isinstance(expit(0.3), float)
         assert expit(0.0) == 0.5
+
+
+class TestMapsBitwise:
+    """expit, expit_pair and log1pexp_expit equal the branch-wise reference
+    bit for bit, on the special values and the ranges where exp() leaves its
+    fast path, as scalars and as 3-d arrays."""
+
+    @staticmethod
+    def values():
+        rng = np.random.default_rng(160)
+        edges = np.arange(708.0, 746.25, 0.25)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                            709.782712893384, -709.782712893384, 745.1332191019411, -745.1332191019411])
+        subnormal = rng.choice([-1.0, 1.0], 400) * np.ldexp(rng.random(400), rng.integers(-1074, -1021, 400))
+        normal = np.concatenate([rng.normal(0.0, scale, 2000) for scale in (1e-8, 1.0, 5.0, 40.0, 300.0, 800.0)])
+        return np.concatenate([special, edges, -edges, subnormal, normal, rng.uniform(-800.0, 800.0, 2000)])
+
+    def test_arrays(self):
+        z = self.values()
+        z = z[: z.size // 12 * 12].reshape(3, 4, -1)
+        up, down, log_norm = _where_maps(z)
+        assert _same_bits(expit(z), up)
+        pair = expit_pair(z)
+        assert _same_bits(pair[0], up) and _same_bits(pair[1], down)
+        both = log1pexp_expit(z)
+        assert _same_bits(both[0], log_norm) and _same_bits(both[1], up)
+
+    def test_scalars(self):
+        for v in self.values()[::7].tolist():
+            up, down, log_norm = _where_maps(v)
+            got = expit(v)
+            assert isinstance(got, float) and _same_bits(got, up)
+            pair = expit_pair(v)
+            assert _same_bits(pair[0], up) and _same_bits(pair[1], down)
+            both = log1pexp_expit(v)
+            assert _same_bits(both[0], log_norm) and _same_bits(both[1], up)
 
 
 class TestLog1pExp:
