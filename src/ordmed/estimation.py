@@ -290,8 +290,8 @@ def _solve_outcomes(stack: _Stack, errors, designs):
     del t  # the outcome kernel sets the memory peak
     beta0 = _least_squares(errors, gram, rhs)[:, 1:]
     alpha0 = logits[:, :K] + (np.vecdot(gram[:, 0, 1:], beta0) / n)[:, None]
-    return _solve(errors, lambda theta, W, y: _proportional_odds_parts(theta[:, :K], theta[:, K:], W, y, J),
-                  np.concatenate([alpha0, beta0], axis=1), (W, stack.y), "outcome model")
+    return _solve(errors, lambda theta, W, y, ends: _proportional_odds_parts(theta[:, :K], theta[:, K:], W, y, J, ends),
+                  np.concatenate([alpha0, beta0], axis=1), (W, stack.y, _open_ends(stack.y, J)), "outcome model")
 
 
 def _fail(errors, mask, error_of):
@@ -350,40 +350,52 @@ def _bernoulli_parts(theta, Z, m):
     log_norm, prob = log1pexp_expit(eta)
     ll = (m * eta - log_norm).sum(axis=1)
     grad = (Z.mT @ (m - prob)[:, :, None])[:, :, 0]
-    hess = -((Z * (prob * (1.0 - prob))[:, :, None]).mT @ Z)
+    hess = -(_weighted(Z, prob * (1.0 - prob)).mT @ Z)
     return ll, grad, hess, np.ones(ll.shape, dtype=bool)
 
 
-def _proportional_odds_parts(alpha, beta, W, y, J):
+def _open_ends(y, J):
+    # expit_pair's keep for the kernel's (zh, -zl), (S, 2, n): 0 where y = J and where y = 1
+    return np.stack([y != J, y != 1], axis=1).astype(float)
+
+
+def _weighted(X, w):
+    # w[:, :, None] * X one column at a time, several times faster than a broadcast over the short last axis
+    out = np.empty_like(X)
+    for k in range(X.shape[2]):
+        np.multiply(w, X[:, :, k], out=out[:, :, k])
+    return out
+
+
+def _proportional_odds_parts(alpha, beta, W, y, J, open_ends=None):
     """Log-likelihood, score and Hessian of S proportional-odds problems in
     the natural (alpha, beta) parameterization: alpha (S, J-1), beta (S, q),
-    W (S, n, q), y (S, n).  Returns ll (S,), grad (S, d), hess (S, d, d) and
-    the mask of problems whose every category probability is positive; the
-    others get ll = -inf (which the line search treats as a rejection) and
-    zero derivatives.
+    W (S, n, q), y (S, n), optionally _open_ends(y, J).  Returns ll (S,),
+    grad (S, d), hess (S, d, d) and the mask of problems whose every category
+    probability is positive; the others get ll = -inf (which the line search
+    treats as a rejection) and zero derivatives.
 
     Record i sits between the thresholds zh = alpha_{y_i} - eta_i above and
     zl = alpha_{y_i - 1} - eta_i below (+-inf at the ends), so every
     derivative of log pi_i is a function of the density ratios f(zh)/pi_i and
     f(zl)/pi_i.  Per-threshold sums are gathered with ``bincount`` over the
-    upper and lower threshold index of each record, offset by J + 1 per
-    problem.
+    level of each record, offset by J + 1 per problem.
     """
     S, n, q = W.shape
     K = J - 1
+    keep = _open_ends(y, J) if open_ends is None else open_ends
     eta = (W @ beta[:, :, None])[:, :, 0]
-    ext = np.empty((S, J + 1))
-    ext[:, 0] = -np.inf
-    ext[:, 1:J] = alpha
-    ext[:, J] = np.inf
-    hi = y + np.arange(0, S * (J + 1), J + 1)[:, None]  # each record's upper threshold in ext.ravel()
-    lo = hi - 1
-    zh = ext.ravel()[hi] - eta
-    zl = ext.ravel()[lo] - eta
-    (a, b), (ac, bc) = expit_pair(np.concatenate([zh[None], zl[None]]))
-    # F(zh) - F(zl) in cancellation-free product form
-    pi = bc * a * (-np.expm1(zl - zh))
-    del eta, zh, zl  # the stacked temporaries set the memory peak
+    cuts = np.full((2, S, J + 1), np.inf)  # per level 1..J, the threshold above it and below it (+-inf: open)
+    cuts[0, :, 1:J] = cuts[1, :, 2:] = alpha
+    cuts[1, :, 1] = -np.inf
+    hi = y + np.arange(0, S * (J + 1), J + 1)[:, None]  # each record's level in cuts[0].ravel() and cuts[1].ravel()
+    z = np.empty((2, S, n))  # zh and -zl, both +inf at the open ends
+    np.subtract(cuts[0].ravel()[hi], eta, out=z[0])
+    np.subtract(eta, cuts[1].ravel()[hi], out=z[1])
+    (a, bc), (ac, b) = expit_pair(z, keep.swapaxes(0, 1))
+    # F(zh) - F(zl) in cancellation-free product form; zl - zh = -(zh + -zl)
+    pi = bc * a * (-np.expm1(np.negative(z[0] + z[1])))
+    del eta, z  # the stacked temporaries set the memory peak
     ok = ~(pi <= 0.0).any(axis=1)
     if not ok.all():
         pi[~ok] = 1.0  # keeps the rejected problems' arithmetic finite; their results are overwritten
@@ -398,39 +410,34 @@ def _proportional_odds_parts(alpha, beta, W, y, J):
     #   d2/dalpha_hi2 = -ra (F(zh) + s),  d2/dalpha_lo2 = -rb (1 - F(zl) + s),
     #   d2/dalpha_hi dalpha_lo = ra rb,  d2/dalpha_hi deta = fa,
     #   d2/dalpha_lo deta = fb,  d2/deta2 = -(fa + fb).
-    fa = a * ac
-    fb = b * bc
-    ra = fa / pi
-    rb = fb / pi
-    s = b * ac / pi
-    hi = hi.ravel()
-    lo = lo.ravel()
+    fa, fb = a * ac, b * bc
+    ra, rb, s = fa / pi, fb / pi, b * ac / pi
 
-    def per_threshold(index, w):
-        # per problem, sum of w over the records whose ext[index] is alpha_1..alpha_K
-        return np.bincount(index, weights=w.ravel(), minlength=S * (J + 1)).reshape(S, J + 1)[:, 1:J]
+    def per_level(w):
+        # per problem, sums of w over the records of levels 1..J: alpha_j is above level j and below j + 1
+        return np.bincount(hi.ravel(), weights=w.ravel(), minlength=S * (J + 1)).reshape(S, J + 1)[:, 1:]
 
-    # Blocks in an order that frees each stacked temporary once it is used.
+    # Blocks in an order that frees each stacked temporary once it is used.  The diagonal negates
+    # K-column sums (rounding is sign-symmetric; 0.0 - x keeps an empty sum +0), not record terms.
     grad = np.empty((S, K + q))
-    grad[:, :K] = per_threshold(hi, ra) - per_threshold(lo, rb)
+    grad[:, :K] = per_level(ra)[:, :K] - per_level(rb)[:, 1:]
     grad[:, K:] = (W.mT @ (b - ac)[:, :, None])[:, :, 0]
     hess = np.zeros((S, K + q, K + q))
     thresholds = np.arange(K)
-    hess[:, thresholds, thresholds] = per_threshold(hi, -ra * (a + s)) + per_threshold(lo, -rb * (bc + s))
-    off = per_threshold(hi, ra * rb)[:, 1:]  # (alpha_{j-1}, alpha_j), j = 2..K
-    hess[:, thresholds[:-1], thresholds[1:]] = off
-    hess[:, thresholds[1:], thresholds[:-1]] = off
-    del a, b, ac, bc, pi, ra, rb, s, hi, lo
+    hess[:, thresholds, thresholds] = 0.0 - (per_level(ra * (a + s))[:, :K] + per_level(rb * (bc + s))[:, 1:])
+    off = per_level(ra * rb)[:, 1:K]  # (alpha_{j-1}, alpha_j), j = 2..K
+    hess[:, thresholds[:-1], thresholds[1:]] = hess[:, thresholds[1:], thresholds[:-1]] = off
+    del a, b, ac, bc, pi, ra, rb, s, hi
 
     # cross derivatives of each record in the columns of its two thresholds
     cross = np.zeros(S * n * (J + 1))
-    at_hi = np.arange(0, S * n * (J + 1), J + 1) + y.ravel()
-    cross[at_hi] = fa.ravel()
-    cross[at_hi - 1] = fb.ravel()
+    at_lo = np.arange(-1, S * n * (J + 1) - 1, J + 1) + y.ravel()
+    cross[at_lo] = fb.ravel()
+    cross[1:][at_lo] = fa.ravel()
     hess[:, :K, K:] = cross.reshape(S, n, J + 1)[:, :, 1:J].mT @ W
-    del cross, at_hi
+    del cross, at_lo
     hess[:, K:, :K] = hess[:, :K, K:].mT
-    hess[:, K:, K:] = -(W.mT @ ((fa + fb)[:, :, None] * W))
+    hess[:, K:, K:] = -(W.mT @ _weighted(W, fa + fb))
     if not ok.all():
         ll[~ok] = -np.inf
         grad[~ok] = 0.0

@@ -237,13 +237,13 @@ def validate_dataset(records, J=None, p=0):
     number from 1 to the record count: a larger J could never have every
     level observed.  Every violation across the whole input is collected
     into the raised :class:`~ordmed.exceptions.DataValidationError`, one
-    ``(row_index, field, reason)`` triple each.
+    ``(row_index, field, reason)`` triple each; its message names ten.
     """
     if J is not None:
         J = _whole(J, "J", 2, 2**63)  # y is stored as int64
     p = _whole(p, "p", 0)
 
-    rows = [tuple(row) for row in records]
+    rows = list(records)  # each row is made a tuple only while it is checked
     if not rows:
         raise DataValidationError("dataset is empty")
     levels = f"1..{J}" if J is not None else f"1..{len(rows)} (J is inferred: at most one level per record)"
@@ -251,7 +251,7 @@ def validate_dataset(records, J=None, p=0):
 
     fields = ("x", "m", "y", *(f"c{k}" for k in range(1, p + 1)))
     cells, problems = array("d"), []  # raw doubles, row-major: a list would keep a float object per cell
-    for i, row in enumerate(rows):
+    for i, row in enumerate(map(tuple, rows)):
         if len(row) != len(fields):
             problems.append((i, "row", f"expected {len(fields)} fields (x, m, y{', c1..c%d' % p if p else ''}), got {len(row)}"))
             continue
@@ -268,9 +268,10 @@ def validate_dataset(records, J=None, p=0):
             cells.append(v)
 
     if problems:
-        lines = [f"row {i}: field {field}: {reason}" for i, field, reason in problems]
+        lines = [f"row {i}: field {field}: {reason}" for i, field, reason in problems[:10]]
+        more = [f"... and {len(problems) - 10} more"] if len(problems) > 10 else []
         raise DataValidationError(
-            f"{len(problems)} invalid value(s) in {len(rows)} records:\n" + "\n".join(lines),
+            f"{len(problems)} invalid value(s) in {len(rows)} records:\n" + "\n".join(lines + more),
             problems,
         )
     cells = np.frombuffer(cells).reshape(len(rows), len(fields))

@@ -3,6 +3,12 @@ seed-keyed random streams.
 
 Everything here accepts scalars or arrays and never overflows for any finite
 argument; fitted predictors beyond +-700 occur routinely in bootstrap resamples.
+
+The logistic maps never branch on the sign of z.  Of up = exp(min(z, 0)) and
+down = exp(min(-z, 0)), one is exp(-|z|) and the other 1, so up / (up + down),
+down / (up + down) and min(up, down) are bitwise the branch-wise expit(z),
+expit(-z) and exp(-|z|).  exp() is slow below -708 (subnormal or zero, -inf
+included): 8-180 ns an element against under 2 ns (numpy 2.4, AVX-512 Xeon).
 """
 
 from __future__ import annotations
@@ -11,48 +17,43 @@ import numpy as np
 
 
 def expit(z):
-    """Logistic function 1 / (1 + exp(-z)), computed branch-wise so that
-    exp() is only ever evaluated at non-positive arguments."""
-    z, ez = _exp_neg_abs(z)
-    out = np.where(z >= 0.0, *_expit_branches(ez))
+    """Logistic function 1 / (1 + exp(-z)) as up / (up + down)."""
+    up, down = _exps(z)
+    out = up / (up + down)
     return float(out) if out.ndim == 0 else out
 
 
-def expit_pair(z):
-    """(expit(z), expit(-z)) for an array z from one exponential; each equals
-    the corresponding expit call exactly."""
-    z, ez = _exp_neg_abs(z)
-    large, small = _expit_branches(ez)
-    return np.where(z >= 0.0, large, small), np.where(z <= 0.0, large, small)
+def expit_pair(z, keep=1.0):
+    """(expit(z), expit(-z)) for an array z.  ``keep``, 1.0 or an array of
+    1.0 and 0.0 that broadcasts against z, may be 0.0 where z is +inf: down
+    is then exp(-0.0) * 0, the same 0, without exp's slow path at -inf."""
+    e = _exps(z, np.multiply(keep, -np.finfo(float).max))
+    e[1, ...] *= keep
+    e /= e[0] + e[1]
+    return e[0], e[1]
 
 
 def log1pexp(z):
     """log(1 + exp(z)) without overflow; equals z + log1p(exp(-z)) for z > 0."""
-    out = _log1pexp(*_exp_neg_abs(z))
+    out = log1pexp_expit(z)[0]
     return float(out) if out.ndim == 0 else out
 
 
 def log1pexp_expit(z):
-    """(log1pexp(z), expit(z)) for an array z from one exponential; each
-    equals the corresponding call exactly."""
-    z, ez = _exp_neg_abs(z)
-    return _log1pexp(z, ez), np.where(z >= 0.0, *_expit_branches(ez))
+    """(log1pexp(z), expit(z)) for an array z; exp(-|z|) is min(up, down)."""
+    up, down = _exps(z)
+    return np.maximum(z, 0.0) + np.log1p(np.minimum(up, down)), up / (up + down)
 
 
-def _exp_neg_abs(z):
-    # the one exponential of every map here: exp(-|z|) is never above 1
+def _exps(z, floor=None):
+    # up and down stacked on a new first axis, down's argument at least floor
     z = np.asarray(z, dtype=float)
-    return z, np.exp(-np.abs(z))
-
-
-def _expit_branches(ez):
-    # 1 / (1 + ez) and ez / (1 + ez): expit(z) for z >= 0 and for z <= 0
-    denom = 1.0 + ez
-    return 1.0 / denom, ez / denom
-
-
-def _log1pexp(z, ez):
-    return np.maximum(z, 0.0) + np.log1p(ez)
+    e = np.empty((2,) + z.shape)
+    np.minimum(z, 0.0, out=e[0, ...])
+    np.minimum(np.negative(z, out=e[1, ...]), 0.0, out=e[1, ...])
+    if floor is not None:
+        np.maximum(e[1, ...], floor, out=e[1, ...])
+    return np.exp(e, out=e)
 
 
 # Rational approximations from Wichura's PPND16 (algorithm AS 241): the normal

@@ -290,6 +290,20 @@ class TestValidateDataset:
             assert data.covariates.tolist() == [[10.0, 0.5], [0.0, -0.0], [2.25, 7.0]]
             assert np.signbit(data.covariates[1, 1])
 
+    def test_message_lists_the_first_ten_problems(self):
+        # 20,000 rows whose m is 2: every problem is kept, and the message
+        # stays a dozen lines long
+        rows = [("0.5", "2", "1")] * 20_000
+        with pytest.raises(DataValidationError) as err:
+            validate_dataset(rows, J=3)
+        assert len(err.value.problems) == 20_000
+        assert err.value.problems[-1] == (19_999, "m", "must be 0 or 1, got '2'")
+        lines = str(err.value).splitlines()
+        assert len(lines) == 12
+        assert lines[0] == "20000 invalid value(s) in 20000 records:"
+        assert lines[10] == "row 9: field m: must be 0 or 1, got '2'"
+        assert lines[11] == "... and 19990 more"
+
     def test_ragged_covariates(self):
         with pytest.raises(DataValidationError) as err:
             validate_dataset([(0.1, 0, 1, 0.5), (0.2, 1, 2)], J=2, p=1)
