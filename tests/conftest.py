@@ -83,3 +83,32 @@ def random_model_pair(rng, J=None, p=0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def plain_stream(seed, *key):
+    """The keyed stream built the documented way: a SeedSequence of (seed,
+    key), its Philox and a Generator.  Every keyed draw equals it."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
+
+
+def plain_inverse_normal_cdf(p):
+    """AS 241 written plainly: the central and tail entries gathered, each
+    rational function through np.polyval.  The quantile must equal it bit
+    for bit."""
+    from ordmed.numerics import _AS241_A, _AS241_B, _AS241_C, _AS241_D, _AS241_E, _AS241_F
+
+    flat = np.atleast_1d(np.asarray(p, dtype=float)).ravel()
+    q = flat - 0.5
+    out = np.empty_like(flat)
+    central = np.abs(q) <= 0.425
+    r = 0.180625 - q[central] * q[central]
+    out[central] = q[central] * np.polyval(_AS241_A, r) / np.polyval(_AS241_B, r)
+    tails = ~central
+    qt = q[tails]
+    r = np.sqrt(-np.log(np.where(qt < 0.0, flat[tails], 1.0 - flat[tails])))
+    near = r <= 5.0
+    x = np.empty_like(r)
+    x[near] = np.polyval(_AS241_C, r[near] - 1.6) / np.polyval(_AS241_D, r[near] - 1.6)
+    x[~near] = np.polyval(_AS241_E, r[~near] - 5.0) / np.polyval(_AS241_F, r[~near] - 5.0)
+    out[tails] = np.where(qt < 0.0, -x, x)
+    return out.reshape(np.shape(p))

@@ -1,6 +1,7 @@
 """Percentile bootstrap: quantile convention, hand-enumerated oracles,
 determinism, failure policy, and coverage sanity."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -29,7 +30,7 @@ from ordmed import (
 from ordmed.inference import _BOOTSTRAP_DOMAIN
 from ordmed.numerics import keyed_stream
 
-from conftest import J3_MEDIATOR, J3_OUTCOME, SPARSE_MEDIATOR, SPARSE_OUTCOME, X_ACTIVE, X_BASELINE
+from conftest import J3_MEDIATOR, J3_OUTCOME, SPARSE_MEDIATOR, SPARSE_OUTCOME, X_ACTIVE, X_BASELINE, plain_stream
 
 QUERY = EffectQuery(X_ACTIVE, X_BASELINE)
 TRUE_LOG_TCE_1 = 1.9664495298574452  # closed form under the J=3 study design
@@ -149,6 +150,26 @@ class TestBootstrapEffects:
         assert [None if e is None else f"{type(e).__name__}: {e}" for e in errors] == raised
         assert result.failures == 300 - len(rows) == 44
         assert result.estimates.tobytes() == np.vstack(rows).tobytes()
+
+    def test_resample_indices_are_pinned(self, monkeypatch):
+        # a sparse J=5 B=200 run: resample b takes the rows that the
+        # SeedSequence-keyed stream (seed, 2, b) indexes, pinned as bytes
+        data = simulate_dataset(_sparse_design(300, 4242))
+        stacks = []
+
+        def recorded(query, count, n, stack_of):
+            return stacked_effects(query, count, n, lambda ids: stacks.append(stack_of(ids)) or stacks[-1])
+
+        stacked_effects = ordmed.inference._stacked_effects
+        monkeypatch.setattr(ordmed.inference, "_stacked_effects", recorded)
+        bootstrap_effects(data, QUERY, 200, seed=11)
+        idx = np.stack([plain_stream(11, _BOOTSTRAP_DOMAIN, b).integers(0, data.n, size=data.n) for b in range(200)])
+        digest = "748eb52f089e79fbb07075746ae376a4f17fdd9eb1862ccf27b5ebb93802d4cd"
+        assert (idx.dtype, hashlib.sha256(idx.tobytes()).hexdigest()) == (np.int64, digest)
+        assert len(np.unique(data.x)) == data.n  # so x identifies each row
+        for column in ("x", "m", "y", "covariates"):
+            got = np.concatenate([getattr(stack, column) for stack in stacks])
+            assert got.tobytes() == getattr(data, column)[idx].tobytes()
 
     def test_bitwise_deterministic(self):
         data = _study_dataset(60, seed=14)

@@ -8,6 +8,8 @@ from scipy.special import ndtri
 
 from ordmed.numerics import expit, expit_pair, inverse_normal_cdf, keyed_stream, log1pexp, log1pexp_expit
 
+from conftest import plain_inverse_normal_cdf
+
 
 def _where_maps(z):
     """expit(z), expit(-z) and log1pexp(z) by explicit branches on the sign
@@ -116,6 +118,19 @@ class TestInverseNormalCdf:
     def test_monotone(self):
         p = np.linspace(1e-12, 1 - 1e-12, 2001)
         assert np.all(np.diff(inverse_normal_cdf(p)) > 0)
+
+    def test_equals_plain_reference_bitwise(self, rng):
+        # the simulator's inputs (k + 0.5) * 2^-53, plain uniforms, and the
+        # AS 241 branch edges: |q| = 0.425, r = 5 (p = exp(-25)), the
+        # neighbours of 0.5, and a far-tail p below 2^-53
+        tiny = np.exp(-25.0)
+        edges = np.array([0.075, 0.925, np.nextafter(tiny, 0.0), tiny, np.nextafter(tiny, 1.0),
+                          0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53, 2.0**-54, 1.0 - 2.0**-53])
+        k = rng.integers(0, 1 << 53, size=(24, 500))
+        for p in ((k + 0.5) * 2.0**-53, rng.random(10_000), edges, 1.0 - edges[edges > 0.5]):
+            assert inverse_normal_cdf(p).tobytes() == plain_inverse_normal_cdf(p).tobytes()
+        for p in edges:
+            assert np.float64(inverse_normal_cdf(p)).tobytes() == plain_inverse_normal_cdf(p).tobytes()
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.3])
     def test_rejects_endpoints(self, bad):

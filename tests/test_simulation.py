@@ -23,6 +23,8 @@ from ordmed import (
     simulate_dataset,
     SimulationDesign,
 )
+from ordmed.models import _cumulative_probs, _mediator_eta
+from ordmed.numerics import expit
 from ordmed.simulation import RNG_INFO, _simulate_stack
 
 from conftest import (
@@ -34,6 +36,8 @@ from conftest import (
     SPARSE_OUTCOME,
     X_ACTIVE,
     X_BASELINE,
+    plain_inverse_normal_cdf,
+    plain_stream,
 )
 
 SPARSE_DESIGN = SimulationDesign(
@@ -180,6 +184,58 @@ class TestSimulateStack:
                     got, want = getattr(stack, column)[s], getattr(alone, column)
                     assert got.dtype == want.dtype
                     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _plain_stack(design, seeds):
+    """The draw written plainly: per seed, one SeedSequence-keyed stream
+    (seed, 0, role) for each of x, the covariates, m and y; the polyval
+    quantile; y as a sum over the broadcast cumulative probabilities."""
+    n, p = design.n, design.p
+
+    def uniforms(role, draw):
+        return np.array([draw(plain_stream(seed, 0, role)) for seed in seeds])
+
+    def normals(role, shape):
+        k = uniforms(role, lambda rng: rng.integers(0, 1 << 53, size=shape))
+        return plain_inverse_normal_cdf((k.astype(np.float64) + 0.5) * 2.0**-53)
+
+    x = design.mean_x + design.sd_x * normals(0, n)
+    C = np.empty((len(seeds), n, 0))
+    if p:
+        C = np.asarray(design.cov_means) + np.asarray(design.cov_sds) * normals(1, (n, p))
+    m = (uniforms(2, lambda rng: rng.random(n)) < expit(_mediator_eta(design.mediator, x, C))).astype(np.int64)
+    cum = _cumulative_probs(design.outcome, x, m, C)
+    y = 1 + np.sum(uniforms(3, lambda rng: rng.random(n))[..., None] >= cum, axis=-1).astype(np.int64)
+    return x, m, y, C
+
+
+# replicate_seed(seed, r) for r = 0, 1, 2**31
+PINNED_REPLICATE_SEEDS = {
+    0: (11539782348902174461, 2656959587162494210, 280297056819291853),
+    1: (4654460112120296358, 10674428029035717133, 16651354367249486869),
+    2**32 - 1: (14177020149655706848, 13141035799545876557, 7911004182467061986),
+    2**32: (12695170091618684670, 245423488454179721, 16211979117543165502),
+    2**64 - 1: (7415890644094193115, 5888061697523251322, 1167484330684451509),
+}
+
+
+class TestDrawsPinned:
+    """Every draw stays what SeedSequence-keyed streams give, as bytes."""
+
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_stack_equals_plain_draw(self, p):
+        design = _covariate_design(p, 3, n=500)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [replicate_seed(design.seed, r) for r in range(24)]
+        stack = _simulate_stack(design, seeds)
+        got = (stack.x, stack.m, stack.y, stack.covariates)
+        want = _plain_stack(design, seeds)
+        assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [(a.dtype, a.shape, a.tobytes()) for a in want]
+
+    def test_replicate_seeds(self):
+        for seed, pinned in PINNED_REPLICATE_SEEDS.items():
+            assert tuple(replicate_seed(seed, r) for r in (0, 1, 2**31)) == pinned
+            assert pinned == tuple(int(np.random.SeedSequence(seed, spawn_key=(1, r)).generate_state(1, np.uint64)[0])
+                                   for r in (0, 1, 2**31))
 
 
 class TestMonteCarloStudy:
