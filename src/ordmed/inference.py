@@ -23,7 +23,7 @@ from .effects import EffectQuery, EffectTable, _effect_rows, effect_labels, effe
 from .estimation import FitResult, _fit_pairs, _Stack, fit_mediator, fit_outcome
 from .exceptions import DegenerateDataError
 from .models import Dataset, _level, _seed, _whole
-from .numerics import keyed_stream
+from .numerics import keyed_streams
 
 _BOOTSTRAP_DOMAIN = 2
 
@@ -133,7 +133,8 @@ def bootstrap_effects(data: Dataset, query: EffectQuery, B, level=0.95, *, seed)
     point = effect_table(query, point_mediator.model, point_outcome.model)
 
     def resamples(ids):
-        idx = np.stack([keyed_stream(seed, _BOOTSTRAP_DOMAIN, b).integers(0, data.n, size=data.n) for b in ids])
+        keys = np.column_stack([np.full(len(ids), _BOOTSTRAP_DOMAIN), ids])
+        idx = np.stack([rng.integers(0, data.n, size=data.n) for rng in keyed_streams(seed, keys)])
         return _Stack(data.x[idx], data.m[idx], data.y[idx], data.covariates[idx], data.J)
 
     estimates, _ = _stacked_effects(query, B, data.n, resamples)

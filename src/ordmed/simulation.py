@@ -29,14 +29,14 @@ from .models import (
     Dataset,
     MediatorModel,
     OutcomeModel,
-    _cumulative_probs,
     _finite_scalar,
     _finite_tuple,
     _mediator_eta,
+    _outcome_eta,
     _seed,
     _whole,
 )
-from .numerics import expit, inverse_normal_cdf, keyed_stream
+from .numerics import expit, inverse_normal_cdf, keyed_streams, stream_keys
 
 _SIM_DOMAIN = 0
 _REPLICATE_DOMAIN = 1
@@ -106,13 +106,21 @@ def simulate_dataset(design: SimulationDesign) -> Dataset:
 
 def _simulate_stack(design: SimulationDesign, seeds) -> _Stack:
     """One dataset of the design per seed, stacked.  Each dataset draws its
-    uniforms from its own keyed streams; every transform then runs once, and
-    elementwise, on the (S, n[, p]) arrays, so dataset s is bitwise the
-    dataset of seed ``seeds[s]`` drawn alone."""
+    uniforms from its own keyed streams, all keyed in one pass; every
+    transform then runs once, and elementwise, on the (S, n[, p]) arrays, so
+    dataset s is bitwise the dataset of seed ``seeds[s]`` drawn alone.
+
+    Raises ModelSpecError, naming the design fields at fault, when a drawn
+    column or a model's linear predictor overflows double precision.
+    """
     n, p = design.n, design.p
+    roles = (_ROLE_X, _ROLE_COVARIATES, _ROLE_MEDIATOR, _ROLE_OUTCOME) if p else (_ROLE_X, _ROLE_MEDIATOR, _ROLE_OUTCOME)
+    seeds = np.array(seeds, dtype=np.uint64)
+    keys = np.tile([(_SIM_DOMAIN, role) for role in roles], (len(seeds), 1))
+    streams = keyed_streams(np.repeat(seeds, len(roles)), keys)
 
     def uniforms(role, draw):
-        return np.array([draw(keyed_stream(seed, _SIM_DOMAIN, role)) for seed in seeds])
+        return np.array([draw(rng) for rng in streams[roles.index(role)::len(roles)]])
 
     def normals(role, shape):
         # AS 241 quantiles of (k + 0.5) * 2^-53 for k uniform on [0, 2^53):
@@ -120,25 +128,41 @@ def _simulate_stack(design: SimulationDesign, seeds) -> _Stack:
         k = uniforms(role, lambda rng: rng.integers(0, 1 << 53, size=shape))
         return inverse_normal_cdf((k.astype(np.float64) + 0.5) * 2.0**-53)
 
-    x = design.mean_x + design.sd_x * normals(_ROLE_X, n)
-    C = np.empty((len(seeds), n, 0))
-    if p:
-        C = np.asarray(design.cov_means) + np.asarray(design.cov_sds) * normals(_ROLE_COVARIATES, (n, p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _finite(design.mean_x + design.sd_x * normals(_ROLE_X, n), "x", "mean_x and sd_x")
+        C = np.empty((len(seeds), n, 0))
+        if p:
+            C = _finite(np.asarray(design.cov_means) + np.asarray(design.cov_sds) * normals(_ROLE_COVARIATES, (n, p)),
+                        "the covariates", "cov_means and cov_sds")
+        eta = _finite(_mediator_eta(design.mediator, x, C), "the mediator predictor", "the mediator coefficients")
+        m = (uniforms(_ROLE_MEDIATOR, lambda rng: rng.random(n)) < expit(eta)).astype(np.int64)
 
-    p_m = expit(_mediator_eta(design.mediator, x, C))
-    m = (uniforms(_ROLE_MEDIATOR, lambda rng: rng.random(n)) < p_m).astype(np.int64)
-
-    # inverse-CDF draw on the same cumulative probabilities the model exposes
-    cum = _cumulative_probs(design.outcome, x, m, C)
-    u_y = uniforms(_ROLE_OUTCOME, lambda rng: rng.random(n))
-    y = 1 + np.sum(u_y[..., None] >= cum, axis=-1).astype(np.int64)
+        # inverse-CDF draw, one threshold at a time: y - 1 counts the
+        # cumulative probabilities expit(alpha_j - eta) at or below u
+        eta = _finite(_outcome_eta(design.outcome, x, m, C), "the outcome predictor", "the outcome coefficients")
+        u = uniforms(_ROLE_OUTCOME, lambda rng: rng.random(n))
+        y = np.ones((len(seeds), n), dtype=np.int64)
+        for alpha in design.outcome.alpha:
+            y += u >= expit(alpha - eta)
     return _Stack(x, m, y, C, design.outcome.J)
 
 
+def _finite(values, what, fields):
+    if not np.isfinite(values).all():
+        raise ModelSpecError(f"simulating {what} overflows double precision; check {fields}")
+    return values
+
+
 def replicate_seed(seed, r):
-    """Derived 64-bit seed for replicate r; a pure function of (seed, r)."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_REPLICATE_DOMAIN, int(r)))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Derived 64-bit seed for replicate r; a pure function of (seed, r), for
+    r in [0, 2**32).  A stack of one of :func:`_replicate_seeds`."""
+    return int(_replicate_seeds(seed, [r])[0])
+
+
+def _replicate_seeds(seed, ids):
+    # replicate r's seed is the first word of the (seed, 1, r) stream key,
+    # which is SeedSequence's generate_state(1, np.uint64)[0]
+    return stream_keys(seed, np.column_stack([np.full(len(ids), _REPLICATE_DOMAIN), ids]))[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,10 +214,8 @@ def monte_carlo_study(design: SimulationDesign, replications, query: EffectQuery
     if len(query.c) != design.p:
         raise DimensionError(f"query has {len(query.c)} covariate(s) but design has {design.p}")
 
-    estimates, errors = _stacked_effects(
-        query, replications, design.n,
-        lambda ids: _simulate_stack(design, [replicate_seed(design.seed, r) for r in ids]),
-    )
+    seeds = _replicate_seeds(design.seed, range(replications))
+    estimates, errors = _stacked_effects(query, replications, design.n, lambda ids: _simulate_stack(design, seeds[ids]))
     if not estimates.shape[0]:
         raise DegenerateDataError(f"all {replications} replicates failed to fit")
     return MonteCarloSummary(

@@ -630,6 +630,30 @@ class TestInputRules:
         assert "need 2 value(s) each" in err and missing in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "mc-study"])
+    @pytest.mark.parametrize("flags, reason", [
+        (["--mean-x", "1e308", "--sd-x", "1e308"], "simulating x overflows double precision; check mean_x and sd_x"),
+        (["--cov-means", "1e308", "--cov-sds", "1e308", "--gamma-c", "0", "--beta-c", "0"],
+         "simulating the covariates overflows double precision; check cov_means and cov_sds"),
+        (["--gamma-x", "1e308"], "simulating the mediator predictor overflows double precision; "
+                                 "check the mediator coefficients"),
+        (["--beta-x", "-1e308", "--beta-xm", "1e308"], "simulating the outcome predictor overflows double "
+                                                       "precision; check the outcome coefficients"),
+    ], ids=["x", "covariates", "mediator", "outcome"])
+    def test_overflowing_draws_are_named(self, tmp_path, capsys, command, flags, reason):
+        # finite design values whose draws overflow exit 1, under each output
+        # format, with one message and no output; a RuntimeWarning would
+        # fail the test
+        runs = [[]]
+        if command == "mc-study":
+            query = ["--replications", "2", "--x", "3.5", "--xstar", "2"] + (["--c", "0"] if "--gamma-c" in flags else [])
+            runs = [[*query, "--format", "csv"], [*query, "--format", "json"]]
+        for run in runs:
+            out = tmp_path / "s.out"
+            code = main([command, *J3_FLAGS, "--n", "50", *flags, *run, "--seed", "3", "--out", str(out)])
+            assert code == EXIT_VALIDATION and not out.exists()
+            assert capsys.readouterr().err == f"error: {reason}\n"
+
     def test_negative_bootstrap_follows_the_resample_count_rule(self, tmp_path, capsys):
         data_csv = tmp_path / "data.csv"
         data_csv.write_text(SIX_ROWS)

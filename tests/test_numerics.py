@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import ndtri
 
-from ordmed.numerics import expit, expit_pair, inverse_normal_cdf, keyed_stream, log1pexp, log1pexp_expit
+from ordmed.numerics import (
+    expit, expit_pair, inverse_normal_cdf, keyed_stream, log1pexp, log1pexp_expit, stream_keys,
+)
 
-from conftest import plain_inverse_normal_cdf
+from conftest import plain_inverse_normal_cdf, plain_stream
 
 
 def _where_maps(z):
@@ -132,10 +134,12 @@ class TestInverseNormalCdf:
         for p in edges:
             assert np.float64(inverse_normal_cdf(p)).tobytes() == plain_inverse_normal_cdf(p).tobytes()
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.3])
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.3, np.nan, np.inf])
     def test_rejects_endpoints(self, bad):
         with pytest.raises(ValueError):
             inverse_normal_cdf(bad)
+        with pytest.raises(ValueError):
+            inverse_normal_cdf(np.array([0.3, bad, 0.6]))
 
 
 class TestKeyedStream:
@@ -150,3 +154,31 @@ class TestKeyedStream:
         c = keyed_stream(8, 1, 2).random(5)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+# seeds and key entries near the ends of their ranges and the 2**32 boundary
+_SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.integers(2**32 - 2, 2**32 + 1), st.sampled_from([0, 1, 2**64 - 1]))
+_ENTRIES = st.one_of(st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 2**31, 2**32 - 1]))
+
+
+class TestStreamKeys:
+    @given(st.integers(0, 4).flatmap(lambda k: st.lists(
+        st.tuples(_SEEDS, st.lists(_ENTRIES, min_size=k, max_size=k)), min_size=1, max_size=8)))
+    def test_rows_equal_seed_sequence(self, rows):
+        seeds = np.array([seed for seed, _ in rows], dtype=np.uint64)
+        keys = np.array([key for _, key in rows], dtype=np.uint64).reshape(len(rows), -1)
+        want = [np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)).generate_state(2, np.uint64).tolist()
+                for seed, key in rows]
+        assert stream_keys(seeds, keys).tolist() == want
+        assert stream_keys(int(seeds[0]), keys[:1]).tolist() == want[:1]
+
+    @given(_SEEDS, st.lists(_ENTRIES, max_size=3))
+    def test_keyed_stream_is_the_seed_sequence_stream(self, seed, key):
+        assert keyed_stream(seed, *key).random(4).tobytes() == plain_stream(seed, *key).random(4).tobytes()
+
+    @pytest.mark.parametrize("seeds, keys", [
+        (0, [[2**32]]), (0, [[1, -1]]), (0, [[0.5]]), (-1, [[0]]), (2**64, [[0]]), ([1, 2.5], [[0], [0]]),
+    ])
+    def test_values_outside_the_ranges_raise(self, seeds, keys):
+        with pytest.raises(ValueError, match="must be whole numbers in"):
+            stream_keys(seeds, keys)

@@ -236,6 +236,8 @@ class TestDrawsPinned:
             assert tuple(replicate_seed(seed, r) for r in (0, 1, 2**31)) == pinned
             assert pinned == tuple(int(np.random.SeedSequence(seed, spawn_key=(1, r)).generate_state(1, np.uint64)[0])
                                    for r in (0, 1, 2**31))
+        with pytest.raises(ValueError, match="stream key entries must be whole numbers"):
+            replicate_seed(0, 2**32)
 
 
 class TestMonteCarloStudy:
