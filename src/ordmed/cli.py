@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import dataclasses
 import gc
 import json
 import math
@@ -38,7 +39,7 @@ from .effects import EffectQuery, EffectTable, effect_labels, effect_table
 from .estimation import FitResult, fit_mediator, fit_outcome, parameter_labels
 from .exceptions import ConsistencyError, ConvergenceError, MediationError
 from .inference import bootstrap_effects
-from .models import MediatorModel, OutcomeModel, _level, _parameters, _seed, validate_dataset
+from .models import MediatorModel, OutcomeModel, _level, _parameters, _record_fields, _seed, validate_dataset
 from .simulation import RNG_INFO, SimulationDesign, monte_carlo_study, simulate_dataset
 
 EXIT_OK = 0
@@ -55,8 +56,8 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # let values like "-0.9,0.9,2.2,3.5" pass as arguments, not flags
-        self._negative_number_matcher = re.compile(r"^-\d+(\.\d*)?([,eE].*)?$")
+        # let values like "-.5", "-0.9,0.9,2.2,3.5" and "-inf" pass as arguments, not flags
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):  # argparse would sys.exit(2); keep our codes
         raise CliError(message)
@@ -228,15 +229,15 @@ def _load_params(path):
         raise CliError(f"parameter file {path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise CliError(f"parameter file {path}: expected a JSON object")
-    known = {"gamma0", "gammaX", "gammaC", "alpha", "betaX", "betaM", "betaXM", "betaC"}
-    unknown = set(raw) - known
+    # the fields are the two models' own: those without a default are required
+    fields = {model: dataclasses.fields(model) for model in (MediatorModel, OutcomeModel)}
+    unknown = set(raw) - {f.name for group in fields.values() for f in group}
     if unknown:
         raise CliError(f"parameter file {path}: unknown field(s) {sorted(unknown)}")
-    missing = {"gamma0", "gammaX", "alpha", "betaX", "betaM", "betaXM"} - set(raw)
+    missing = {f.name for group in fields.values() for f in group if f.default is dataclasses.MISSING} - set(raw)
     if missing:
         raise CliError(f"parameter file {path}: missing field(s) {sorted(missing)}")
-    return (MediatorModel(raw["gamma0"], raw["gammaX"], raw.get("gammaC", ())),
-            OutcomeModel(raw["alpha"], raw["betaX"], raw["betaM"], raw["betaXM"], raw.get("betaC", ())))
+    return tuple(model(**{f.name: raw[f.name] for f in group if f.name in raw}) for model, group in fields.items())
 
 
 def _read_data_csv(path):
@@ -251,9 +252,8 @@ def _read_data_csv(path):
             header = next(reader)
         except StopIteration:
             raise CliError(f"{path}: no header row found") from None
-        header = [h.strip() for h in header]
-        expected_c = [f"c{i}" for i in range(1, len(header) - 2)]
-        if header[:3] != ["x", "m", "y"] or header[3:] != expected_c:
+        header = tuple(h.strip() for h in header)
+        if header != _record_fields(len(header) - 3):
             raise CliError(
                 f"{path}: header must be x,m,y[,c1..cp], got {','.join(header)}"
             )
@@ -302,37 +302,46 @@ def _metadata(argv, seed=None, randomized=False, extra=()):
     return items
 
 
+def _data_metadata(data):
+    return [("n", str(data.n)), ("levels", str(data.J)), ("covariates", str(data.p))]
+
+
 def _cell(value):
     """One CSV cell: None (null in JSON) is empty, a float keeps 17
-    significant digits, anything else is its str."""
+    significant digits, anything else is its str.  A float that is not
+    finite is refused with the JSON writer's message, so both formats
+    accept the same values."""
     if value is None:
         return ""
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
         return format(value, ".17g")
     return str(value)
 
 
-def _write_csv(path, metadata, records):
-    """The metadata block, then one row per record; the keys of the records
-    are the header."""
+def _write_csv(path, metadata, header, rows):
+    """The metadata block, the header, then one line per row of values."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for key, value in metadata:
             fh.write(f"# {key}: {value}\n")
         writer = csv.writer(fh)
-        writer.writerow(records[0])
-        writer.writerows([_cell(v) for v in record.values()] for record in records)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def _write_report(args, metadata, payload, tables):
-    """The JSON document ``payload``, or under --format csv every
-    ``(path, records)`` table of ``tables``, whose records come from it."""
+def _write_report(args, metadata, body, tables):
+    """Under --format json the document ``metadata`` followed by ``body``;
+    under --format csv every ``(path, records)`` table of ``tables``, whose
+    records come from the body and whose keys are the header, each headed by
+    ``metadata``."""
     if args.format == "json":
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, allow_nan=False)
+            json.dump({"metadata": dict(metadata), **body}, fh, indent=2, allow_nan=False)
             fh.write("\n")
     else:
         for path, records in tables:
-            _write_csv(path, metadata, records)
+            _write_csv(path, metadata, records[0], (record.values() for record in records))
 
 
 def _none_if_nan(value):
@@ -369,13 +378,13 @@ def _fit_payload(result: FitResult):
     }
 
 
-def _parameter_records(payload):
-    """One record per parameter of the two fits in ``payload``."""
+def _parameter_records(body):
+    """One record per parameter of the two fits in ``body``."""
     return [
         {"model": model, "parameter": name, "estimate": value,
-         "std_error": payload[f"{model}_fit"]["standard_errors"][name]}
+         "std_error": body[f"{model}_fit"]["standard_errors"][name]}
         for model in ("mediator", "outcome")
-        for name, value in payload[f"{model}_fit"]["parameters"].items()
+        for name, value in body[f"{model}_fit"]["parameters"].items()
     ]
 
 
@@ -386,10 +395,9 @@ def cmd_effects(args, argv):
     """True-value pathway: the effect table implied by explicit parameters."""
     mediator, outcome = _load_params(args.params)
     query = _query_from_args(args)
-    table = effect_table(query, mediator, outcome)
+    entries = _effect_entries(effect_table(query, mediator, outcome))
     metadata = _metadata(argv, extra=[("x", repr(args.x)), ("xstar", repr(args.xstar))])
-    payload = {"metadata": dict(metadata), "effects": _effect_entries(table)}
-    _write_report(args, metadata, payload, [(args.out, payload["effects"])])
+    _write_report(args, metadata, {"effects": entries}, [(args.out, entries)])
     return EXIT_OK
 
 
@@ -398,16 +406,12 @@ def cmd_fit(args, argv):
     med_fit = fit_mediator(data)
     out_fit = fit_outcome(data)
     metadata = _metadata(argv, extra=[
-        ("n", str(data.n)), ("levels", str(data.J)), ("covariates", str(data.p)),
+        *_data_metadata(data),
         ("loglik-mediator", _cell(med_fit.loglik)), ("loglik-outcome", _cell(out_fit.loglik)),
         ("converged", "true"),  # a fit that does not converge raises instead
     ])
-    payload = {
-        "metadata": dict(metadata),
-        "mediator_fit": _fit_payload(med_fit),
-        "outcome_fit": _fit_payload(out_fit),
-    }
-    _write_report(args, metadata, payload, [(args.out, _parameter_records(payload))])
+    body = {"mediator_fit": _fit_payload(med_fit), "outcome_fit": _fit_payload(out_fit)}
+    _write_report(args, metadata, body, [(args.out, _parameter_records(body))])
     return EXIT_OK
 
 
@@ -421,59 +425,41 @@ def cmd_analyze(args, argv):
     data = _dataset_from_args(args)
     query = _query_from_args(args)
 
-    boot = None
     if args.bootstrap:
         boot = bootstrap_effects(data, query, args.bootstrap, args.level, seed=args.seed)
-        med_fit, out_fit, table = boot.mediator_fit, boot.outcome_fit, boot.point
+        med_fit, out_fit = boot.mediator_fit, boot.outcome_fit
+        entries = [
+            {**entry, "boot_sd": _none_if_nan(sd), "ci_lower": float(lower), "ci_upper": float(upper),
+             "or_ci_lower": _odds_ratio(lower), "or_ci_upper": _odds_ratio(upper)}
+            for entry, sd, lower, upper in zip(_effect_entries(boot.point), boot.boot_sd, boot.ci_lower,
+                                               boot.ci_upper)
+        ]
+        bootstrap = {"B": boot.B, "level": boot.level, "failures": boot.failures, "unreliable": boot.unreliable}
+        # each metadata value is the JSON spelling of the report's value
+        metadata = _metadata(argv, seed=args.seed, randomized=True, extra=[
+            *_data_metadata(data), *((f"bootstrap-{key}", json.dumps(value)) for key, value in bootstrap.items())])
+        tail, status = {"bootstrap": bootstrap}, EXIT_UNRELIABLE if boot.unreliable else EXIT_OK
     else:
         med_fit = fit_mediator(data)
         out_fit = fit_outcome(data)
-        table = effect_table(query, med_fit.model, out_fit.model)
+        entries = _effect_entries(effect_table(query, med_fit.model, out_fit.model))
+        metadata = _metadata(argv, seed=args.seed, extra=_data_metadata(data))
+        tail, status = {}, EXIT_OK
 
-    entries = _effect_entries(table)
-    if boot is not None:
-        for k, entry in enumerate(entries):
-            entry["boot_sd"] = _none_if_nan(boot.boot_sd[k])
-            entry["ci_lower"] = float(boot.ci_lower[k])
-            entry["ci_upper"] = float(boot.ci_upper[k])
-            entry["or_ci_lower"] = _odds_ratio(boot.ci_lower[k])
-            entry["or_ci_upper"] = _odds_ratio(boot.ci_upper[k])
-
-    extra = [("n", str(data.n)), ("levels", str(data.J)), ("covariates", str(data.p))]
-    if boot is not None:
-        extra += [
-            ("bootstrap-B", str(boot.B)), ("bootstrap-level", repr(boot.level)),
-            ("bootstrap-failures", str(boot.failures)),
-            ("bootstrap-unreliable", str(boot.unreliable).lower()),
-        ]
-    metadata = _metadata(argv, seed=args.seed, randomized=boot is not None, extra=extra)
-
-    payload = {
-        "metadata": dict(metadata),
-        "mediator_fit": _fit_payload(med_fit),
-        "outcome_fit": _fit_payload(out_fit),
-        "effects": entries,
-    }
-    if boot is not None:
-        payload["bootstrap"] = {
-            "B": boot.B, "level": boot.level, "failures": boot.failures,
-            "unreliable": boot.unreliable,
-        }
-    _write_report(args, metadata, payload, [
+    body = {"mediator_fit": _fit_payload(med_fit), "outcome_fit": _fit_payload(out_fit), "effects": entries, **tail}
+    _write_report(args, metadata, body, [
         (args.out, entries),
-        (_sibling_path(args.out, "_params.csv"), _parameter_records(payload)),
+        (_sibling_path(args.out, "_params.csv"), _parameter_records(body)),
     ])
-    return EXIT_UNRELIABLE if boot is not None and boot.unreliable else EXIT_OK
+    return status
 
 
 def cmd_simulate(args, argv):
     design = _design_from_args(args)
     data = simulate_dataset(design)
-    metadata = _metadata(argv, seed=design.seed, randomized=True,
-                         extra=[("n", str(data.n)), ("levels", str(data.J)), ("covariates", str(data.p))])
-    header = ["x", "m", "y"] + [f"c{i}" for i in range(1, data.p + 1)]
-    rows = zip(*(column.tolist() for column in (data.x, data.m, data.y, *data.covariates.T)))
-    _write_csv(args.out, metadata, [dict(zip(header, row)) for row in rows])
+    metadata = _metadata(argv, seed=design.seed, randomized=True, extra=_data_metadata(data))
+    columns = (data.x, data.m, data.y, *data.covariates.T)
+    _write_csv(args.out, metadata, _record_fields(data.p), zip(*(column.tolist() for column in columns)))
     return EXIT_OK
 
 
@@ -492,8 +478,7 @@ def cmd_mc_study(args, argv):
         ("failures", str(summary.n_failures)),
         ("levels", str(design.outcome.J)),
     ])
-    payload = {
-        "metadata": dict(metadata),
+    body = {
         "summary": [
             {"effect": eff, "level": lvl, "mean_log": float(summary.mean[k]),
              "sd_log": _none_if_nan(summary.sd[k]),
@@ -508,10 +493,10 @@ def cmd_mc_study(args, argv):
     }
     raw = [
         {"replicate": e["replicate"], "effect": eff, "level": lvl, "log_estimate": value}
-        for e in payload["estimates"]
+        for e in body["estimates"]
         for (eff, lvl), value in zip(summary.labels, e["values"])
     ]
-    _write_report(args, metadata, payload, [(args.out, payload["summary"]), (raw_path, raw)])
+    _write_report(args, metadata, body, [(args.out, body["summary"]), (raw_path, raw)])
     return EXIT_OK
 
 

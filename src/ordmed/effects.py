@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConsistencyError, DimensionError
+from .exceptions import ConsistencyError, DimensionError, ModelSpecError
 from .models import (
     MediatorModel,
     OutcomeModel,
@@ -264,23 +264,36 @@ def _effect_rows(query: EffectQuery, mediator_theta, outcome_theta):
     """``effect_table(query, ...).flatten()`` of S model pairs given by their
     natural parameter rows, (S, 2 + p) and (S, K + 3 + p): an (S, 3K + 2)
     array in :func:`effect_labels` order.  ``query.c`` must have p entries.
-    Raises :class:`ConsistencyError` for the first pair whose decomposition
-    fails, naming the level."""
+    Raises :class:`ModelSpecError`, naming the query and the parameters, for
+    the first pair with an entry that overflows double precision, and
+    :class:`ConsistencyError` for the first pair whose decomposition fails,
+    naming the level."""
     x, xs = query.x, query.xstar
-    terms = _mixture_terms((x, x, xs), (x, xs, xs), np.array(query.c, dtype=float), mediator_theta, outcome_theta)
-    rr_xx, rr_xs, rr_ss = terms["log_rr"]
     K = outcome_theta.shape[1] - mediator_theta.shape[1] - 1
     betaX, _, betaXM = outcome_theta[:, K:K + 3].T
-    direct = (betaX * (x - xs))[:, None]
-    tce = direct + rr_xx - rr_ss
-    nde = direct + rr_xs - rr_ss
-    nie = rr_xx - rr_xs
-    broken = np.argwhere(np.abs(tce - (nde + nie)) > _DECOMPOSITION_TOL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _mixture_terms((x, x, xs), (x, xs, xs), np.array(query.c, dtype=float), mediator_theta,
+                               outcome_theta)
+        rr_xx, rr_xs, rr_ss = terms["log_rr"]
+        direct = (betaX * (x - xs))[:, None]
+        tce = direct + rr_xx - rr_ss
+        nde = direct + rr_xs - rr_ss
+        nie = rr_xx - rr_xs
+        cde = _log_cde(betaX[:, None], betaXM[:, None], np.array([1, 0]), query)
+        rows = np.concatenate([nde, nie, tce, cde], axis=1)
+        overflow = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if overflow.size:
+            s = overflow[0]
+            raise ModelSpecError(
+                f"the effects at x={x!r}, xstar={xs!r}, c={query.c!r} overflow double precision with "
+                f"mediator parameters {mediator_theta[s].tolist()} and outcome parameters "
+                f"{outcome_theta[s].tolist()}"
+            )
+        broken = np.argwhere(~(np.abs(tce - (nde + nie)) <= _DECOMPOSITION_TOL))  # NaN fails too
     if broken.size:
         s, k = broken[0]
         raise ConsistencyError(
             f"log TCE != log NDE + log NIE at level {k + 1}: "
             f"{float(tce[s, k])!r} vs {float(nde[s, k] + nie[s, k])!r}"
         )
-    cde = _log_cde(betaX[:, None], betaXM[:, None], np.array([1, 0]), query)
-    return np.concatenate([nde, nie, tce, cde], axis=1)
+    return rows

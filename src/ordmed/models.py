@@ -228,6 +228,11 @@ def _outcome_query(model: OutcomeModel, x, m, c):
     return _finite_scalar(x, "x"), _check_mediator_value(m), _covariate_vector(c, model.p, "outcome model")
 
 
+def _record_fields(p):
+    """The fields of a data record with p covariates, in order: x, m, y, c1..cp."""
+    return ("x", "m", "y", *(f"c{k}" for k in range(1, p + 1)))
+
+
 def validate_dataset(records, J=None, p=0):
     """Check raw rows and assemble a :class:`Dataset`.
 
@@ -249,7 +254,7 @@ def validate_dataset(records, J=None, p=0):
     levels = f"1..{J}" if J is not None else f"1..{len(rows)} (J is inferred: at most one level per record)"
     top = len(rows) if J is None else J
 
-    fields = ("x", "m", "y", *(f"c{k}" for k in range(1, p + 1)))
+    fields = _record_fields(p)
     cells, problems = array("d"), []  # raw doubles, row-major: a list would keep a float object per cell
     for i, row in enumerate(map(tuple, rows)):
         if len(row) != len(fields):

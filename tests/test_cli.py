@@ -654,6 +654,68 @@ class TestInputRules:
             assert code == EXIT_VALIDATION and not out.exists()
             assert capsys.readouterr().err == f"error: {reason}\n"
 
+    @pytest.mark.parametrize("case", ["parameters", "query", "mc-study", "analyze"])
+    def test_overflowing_effects_are_named(self, tmp_path, capsys, case):
+        # finite inputs whose effect table overflows exit 1 under each output
+        # format, with one message that names the query and no output; a
+        # RuntimeWarning would fail the test
+        huge = {"gamma0": 1e308, "gammaX": -1e308, "alpha": [-1e308, 1e308],
+                "betaX": 1e308, "betaM": -1e308, "betaXM": 1e308}
+        params_json = tmp_path / "huge.json"
+        params_json.write_text(json.dumps(huge))
+        data_csv = tmp_path / "data.csv"
+        assert main(["simulate", *SPARSE_FLAGS, "--seed", "7", "--out", str(data_csv)]) == EXIT_OK
+        extreme = ["--x", "1e308", "--xstar", "-1e308"]
+        argv, query = {
+            "parameters": (["effects", "--params", str(params_json), "--x", "3.5", "--xstar", "2"],
+                           "x=3.5, xstar=2.0, c=()"),
+            "query": (["effects", "--params", str(DATA_DIR / "params_j3.json"), *extreme],
+                      "x=1e+308, xstar=-1e+308, c=()"),
+            "mc-study": (["mc-study", *J3_FLAGS, "--n", "120", "--replications", "6", "--seed", "5", *extreme],
+                         "x=1e+308, xstar=-1e+308, c=()"),
+            "analyze": (["analyze", "--data", str(data_csv), *extreme, "--bootstrap", "20", "--seed", "3"],
+                        "x=1e+308, xstar=-1e+308, c=()"),
+        }[case]
+        errors = []
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"report.{fmt}"
+            assert main([*argv, "--format", fmt, "--out", str(out)]) == EXIT_VALIDATION
+            assert not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert re.fullmatch(rf"error: the effects at {re.escape(query)} overflow double precision with mediator "
+                            r"parameters \[.*\] and outcome parameters \[.*\]\n", errors[0])
+        if case == "parameters":
+            assert "mediator parameters [1e+308, -1e+308]" in errors[0]
+
+    @pytest.mark.parametrize("flags", [
+        ["--x", "-.5"], ["--x", "-0.5"], ["--x", "-5"], ["--x", "-1e3"], ["--x", "-1E-3"],
+        ["--alpha", "-.9,.9"], ["--x", "-inf"],
+    ], ids=["dot", "zero-dot", "whole", "exponent", "upper-exponent", "list", "inf"])
+    def test_negative_values_are_not_flags(self, tmp_path, capsys, flags):
+        # a value after a flag that starts with "-" and a digit, ".", "inf" or
+        # "nan" is the flag's value, as with "--flag=value"
+        flag, value = flags
+        out = tmp_path / "out.csv"
+        if flag == "--alpha":
+            code = main(["simulate", *SPARSE_FLAGS, "--seed", "1", "--out", str(out), flag, value])
+            equals = main(["simulate", *SPARSE_FLAGS, "--seed", "1", "--out", str(tmp_path / "eq.csv"),
+                           f"{flag}={value}"])
+        else:
+            query = ["effects", "--params", str(DATA_DIR / "params_j3.json"), "--xstar", "2"]
+            code = main([*query, "--out", str(out), flag, value])
+            equals = main([*query, "--out", str(tmp_path / "eq.csv"), f"{flag}={value}"])
+        err = capsys.readouterr().err
+        assert code == equals
+        if value == "-inf":
+            assert code == EXIT_VALIDATION and err == "error: x must be finite, got -inf\n" * 2
+        else:
+            assert code == EXIT_OK and err == ""
+            metadata, rows = read_csv(out)
+            assert rows == read_csv(tmp_path / "eq.csv")[1]
+            if flag == "--x":
+                assert metadata["x"] == repr(float(value))
+
     def test_negative_bootstrap_follows_the_resample_count_rule(self, tmp_path, capsys):
         data_csv = tmp_path / "data.csv"
         data_csv.write_text(SIX_ROWS)
@@ -790,6 +852,15 @@ class TestFormatParity:
             "effects", "--params", str(params_json), "--x", "3.5", "--xstar", "2"])
         assert_same_records(rows, payload["effects"])
         assert [e["odds_ratio"] for e in payload["effects"] if e["effect"] == "cde"] == [None, None]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_writers_refuse_the_same_values(self, value):
+        # json.dump as the report writer calls it: with indent, the Python
+        # encoder names the value
+        with pytest.raises(ValueError) as refused:
+            json.dumps([value], indent=2, allow_nan=False)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            ordmed.cli._cell(value)
 
     def test_fit(self, tmp_path):
         data_csv = tmp_path / "data.csv"

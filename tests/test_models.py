@@ -214,6 +214,10 @@ class TestDatasetConstruction:
         with pytest.raises(DataValidationError, match=re.escape(reason)):
             Dataset(*columns, 2, 0)
 
+    def test_no_rows(self):
+        with pytest.raises(DataValidationError, match="dataset is empty"):
+            Dataset(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.zeros((0, 0)), 2, 0)
+
 
 class TestValidateDataset:
     def test_valid_rows(self):

@@ -155,6 +155,14 @@ class TestKeyedStream:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("args", [(4,), (2, np.uint32)])
+    def test_precomputed_key_serves_only_the_philox_request(self, args):
+        # the key is the generate_state(2, np.uint64) of its SeedSequence; any
+        # other request would need the SeedSequence itself
+        key = keyed_stream(7, 1, 2).bit_generator.seed_seq
+        with pytest.raises(ValueError, match=r"exactly generate_state\(2, np.uint64\)"):
+            key.generate_state(*args)
+
 
 # seeds and key entries near the ends of their ranges and the 2**32 boundary
 _SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.integers(2**32 - 2, 2**32 + 1), st.sampled_from([0, 1, 2**64 - 1]))
