@@ -18,7 +18,9 @@ Exit codes: 0 success; 1 validation error or data that cannot be fitted,
 including a bootstrap whose every resample failed (no report is written);
 2 convergence failure; 3 bootstrap unreliable (more than half the resamples
 failed; the report is written and flagged); 4 internal consistency check
-failed (a bug in ordmed, not a problem with the input).
+failed (a bug in ordmed, not a problem with the input).  A command that
+exits 1, 2 or 4 writes no output file, and leaves one already at its path
+as it was.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import dataclasses
 import gc
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -330,18 +333,40 @@ def _write_csv(path, metadata, header, rows):
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
+def _write_json(path, document):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(document, fh, indent=2, allow_nan=False)
+        fh.write("\n")
+
+
+def _write_files(files):
+    """Write each ``(path, write, *args)`` of ``files`` as ``write(temporary,
+    *args)`` to a sibling ``<path>.<pid>.tmp``, and move every temporary to
+    its path only once the last is complete.  On any error the temporaries
+    are removed, so a command that fails leaves no output file, and a file
+    already at a path keeps its bytes."""
+    temporaries = [f"{path}.{os.getpid()}.tmp" for path, *_ in files]
+    try:
+        for (_, write, *args), temporary in zip(files, temporaries):
+            write(temporary, *args)
+        for (path, *_), temporary in zip(files, temporaries):
+            os.replace(temporary, path)
+    except BaseException:
+        for temporary in temporaries:
+            Path(temporary).unlink(missing_ok=True)
+        raise
+
+
 def _write_report(args, metadata, body, tables):
     """Under --format json the document ``metadata`` followed by ``body``;
     under --format csv every ``(path, records)`` table of ``tables``, whose
     records come from the body and whose keys are the header, each headed by
     ``metadata``."""
     if args.format == "json":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"metadata": dict(metadata), **body}, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        _write_files([(args.out, _write_json, {"metadata": dict(metadata), **body})])
     else:
-        for path, records in tables:
-            _write_csv(path, metadata, records[0], (record.values() for record in records))
+        _write_files([(path, _write_csv, metadata, records[0], (record.values() for record in records))
+                      for path, records in tables])
 
 
 def _none_if_nan(value):
@@ -459,7 +484,7 @@ def cmd_simulate(args, argv):
     data = simulate_dataset(design)
     metadata = _metadata(argv, seed=design.seed, randomized=True, extra=_data_metadata(data))
     columns = (data.x, data.m, data.y, *data.covariates.T)
-    _write_csv(args.out, metadata, _record_fields(data.p), zip(*(column.tolist() for column in columns)))
+    _write_files([(args.out, _write_csv, metadata, _record_fields(data.p), zip(*(c.tolist() for c in columns)))])
     return EXIT_OK
 
 

@@ -76,7 +76,6 @@ class EffectTable:
     log_nde: tuple[float, ...]
     log_nie: tuple[float, ...]
     log_cde: tuple[float, float]
-    query: EffectQuery
 
     @property
     def J(self):
@@ -257,7 +256,7 @@ def effect_table(query: EffectQuery, mediator: MediatorModel, outcome: OutcomeMo
     _check_pair(mediator, outcome, query.c)
     K = outcome.J - 1
     row = _effect_rows(query, _parameters(mediator)[None], _parameters(outcome)[None])[0].tolist()
-    return EffectTable(tuple(row[2 * K:3 * K]), tuple(row[:K]), tuple(row[K:2 * K]), tuple(row[3 * K:]), query)
+    return EffectTable(tuple(row[2 * K:3 * K]), tuple(row[:K]), tuple(row[K:2 * K]), tuple(row[3 * K:]))
 
 
 def _effect_rows(query: EffectQuery, mediator_theta, outcome_theta):
@@ -289,7 +288,9 @@ def _effect_rows(query: EffectQuery, mediator_theta, outcome_theta):
                 f"mediator parameters {mediator_theta[s].tolist()} and outcome parameters "
                 f"{outcome_theta[s].tolist()}"
             )
-        broken = np.argwhere(~(np.abs(tce - (nde + nie)) <= _DECOMPOSITION_TOL))  # NaN fails too
+        # relative beyond |log TCE| = 1: an absolute bound would ask for agreement
+        # finer than one rounding of log TCE itself; NaN fails too
+        broken = np.argwhere(~(np.abs(tce - (nde + nie)) <= _DECOMPOSITION_TOL * np.maximum(1.0, np.abs(tce))))
     if broken.size:
         s, k = broken[0]
         raise ConsistencyError(

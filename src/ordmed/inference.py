@@ -21,7 +21,7 @@ import numpy as np
 
 from .effects import EffectQuery, EffectTable, _effect_rows, effect_labels, effect_table
 from .estimation import FitResult, _fit_pairs, _Stack, fit_mediator, fit_outcome
-from .exceptions import DegenerateDataError
+from .exceptions import DegenerateDataError, ModelSpecError
 from .models import Dataset, _level, _seed, _whole
 from .numerics import keyed_streams
 
@@ -36,24 +36,26 @@ _STACK_RECORDS = 12_000
 
 def quantile(sorted_sample, q):
     """Type-7 empirical quantile of an ascending sample: linear interpolation
-    at rank (n - 1) * q between order statistics."""
+    at rank (n - 1) * q between order statistics.  Given a table whose
+    columns ascend, the quantile of every column, as an array."""
     s = np.asarray(sorted_sample, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("sample must be a nonempty 1-d collection")
+    if s.ndim not in (1, 2) or not len(s):
+        raise ValueError("sample must be a nonempty 1-d collection or a table of columns")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
-    h = (s.size - 1) * float(q)
+    h = (len(s) - 1) * float(q)
     lo = int(np.floor(h))
-    hi = min(lo + 1, s.size - 1)
-    return float(s[lo] + (h - lo) * (s[hi] - s[lo]))
+    hi = min(lo + 1, len(s) - 1)
+    value = s[lo] + (h - lo) * (s[hi] - s[lo])
+    return float(value) if s.ndim == 1 else value
 
 
 def percentile_interval(sample, level):
     """Equal-tailed percentile interval: ((1-level)/2, 1-(1-level)/2)
-    empirical quantiles of ``sample``.  A constant sample yields a zero-width
-    interval at that value."""
+    empirical quantiles of ``sample``, or of every column of a table.  A
+    constant sample yields a zero-width interval at that value."""
     level = _level(level)
-    s = np.sort(np.asarray(sample, dtype=float))
+    s = np.sort(np.asarray(sample, dtype=float), axis=0)
     tail = (1.0 - level) / 2.0
     return quantile(s, tail), quantile(s, 1.0 - tail)
 
@@ -113,6 +115,17 @@ def _sample_sd(estimates):
     return estimates.std(axis=0, ddof=1)
 
 
+def _check_summary(query: EffectQuery, estimates, *summaries):
+    """Raise ModelSpecError, naming the query, when a summary of the effect
+    rows ``estimates`` is not finite.  A single row is its own mean and
+    bounds, and its SD is NaN, meaning absent, so it is not checked."""
+    if len(estimates) > 1 and not np.isfinite(summaries).all():
+        raise ModelSpecError(
+            f"the summary of the effects at x={query.x!r}, xstar={query.xstar!r}, c={query.c!r} "
+            "overflows double precision"
+        )
+
+
 def bootstrap_effects(data: Dataset, query: EffectQuery, B, level=0.95, *, seed) -> BootstrapResult:
     """Percentile bootstrap of the full effect table.
 
@@ -140,14 +153,15 @@ def bootstrap_effects(data: Dataset, query: EffectQuery, B, level=0.95, *, seed)
     estimates, _ = _stacked_effects(query, B, data.n, resamples)
     if not estimates.shape[0]:
         raise DegenerateDataError(f"all {B} bootstrap resamples failed; no interval can be formed")
-    bounds = [percentile_interval(estimates[:, k], level) for k in range(estimates.shape[1])]
-    ci_lower = np.array([lo for lo, _ in bounds])
-    ci_upper = np.array([hi for _, hi in bounds])
+    with np.errstate(over="ignore", invalid="ignore"):
+        boot_sd = _sample_sd(estimates)
+        ci_lower, ci_upper = percentile_interval(estimates, level)
+    _check_summary(query, estimates, boot_sd, ci_lower, ci_upper)
 
     return BootstrapResult(
         point=point,
         labels=effect_labels(data.J),
-        boot_sd=_sample_sd(estimates),
+        boot_sd=boot_sd,
         ci_lower=ci_lower,
         ci_upper=ci_upper,
         B=B,

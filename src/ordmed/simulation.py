@@ -17,14 +17,13 @@ records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .effects import EffectQuery, effect_labels
 from .estimation import _Stack
 from .exceptions import DegenerateDataError, DimensionError, ModelSpecError
-from .inference import _sample_sd, _stacked_effects
+from .inference import _check_summary, _sample_sd, _stacked_effects
 from .models import (
     Dataset,
     MediatorModel,
@@ -170,34 +169,27 @@ class MonteCarloSummary:
     """Per-effect estimate collection across replicates.
 
     ``estimates`` has one row per successful replicate (in replicate order)
-    and one column per entry of ``labels``.  Replicates whose fits failed are
+    and one column per entry of ``labels``; ``mean`` and ``sd`` summarise its
+    columns, ``sd`` by the bootstrap's sample-SD rule (NaN, absent, with
+    fewer than two successful replicates).  Replicates whose fits failed are
     listed in ``failed_replicates`` and excluded, never silently redrawn.
     """
 
-    design: SimulationDesign
-    query: EffectQuery
     replications: int
     labels: tuple[tuple[str, str], ...]
+    mean: np.ndarray
+    sd: np.ndarray
     estimates: np.ndarray
     replicate_ids: tuple[int, ...]
     failed_replicates: tuple[int, ...]
 
     def __post_init__(self):
-        self.estimates.flags.writeable = False
+        for arr in (self.mean, self.sd, self.estimates):
+            arr.flags.writeable = False
 
     @property
     def n_failures(self):
         return len(self.failed_replicates)
-
-    @cached_property
-    def mean(self):
-        return self.estimates.mean(axis=0)
-
-    @cached_property
-    def sd(self):
-        """Sample standard deviation per entry; NaN (absent) with fewer than
-        two successful replicates."""
-        return _sample_sd(self.estimates)
 
 
 def monte_carlo_study(design: SimulationDesign, replications, query: EffectQuery) -> MonteCarloSummary:
@@ -218,11 +210,14 @@ def monte_carlo_study(design: SimulationDesign, replications, query: EffectQuery
     estimates, errors = _stacked_effects(query, replications, design.n, lambda ids: _simulate_stack(design, seeds[ids]))
     if not estimates.shape[0]:
         raise DegenerateDataError(f"all {replications} replicates failed to fit")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, sd = estimates.mean(axis=0), _sample_sd(estimates)
+    _check_summary(query, estimates, mean, sd)
     return MonteCarloSummary(
-        design=design,
-        query=query,
         replications=replications,
         labels=effect_labels(design.outcome.J),
+        mean=mean,
+        sd=sd,
         estimates=estimates,
         replicate_ids=tuple(r for r, error in enumerate(errors) if error is None),
         failed_replicates=tuple(r for r, error in enumerate(errors) if error is not None),

@@ -1,9 +1,11 @@
 """Command-line surface: file schemas, exit codes, reproducibility, and the
 round-trip between simulate/fit/effects and analyze."""
 
+import contextlib
 import csv
 import ctypes
 import gc
+import io
 import json
 import math
 import os
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ordmed.cli
 import ordmed.effects
@@ -48,6 +51,44 @@ RARE_END_FLAGS = [
 SEPARATED_ROWS = "x,m,y\n" + "".join(
     f"{x},{int(x > 0)},{1 + i % 2}\n" for i, x in ((i, -0.0005 + i * 0.00005) for i in range(20))
 )
+
+
+# the exit codes of the README table
+README_CODES = {EXIT_OK, EXIT_VALIDATION, EXIT_CONVERGENCE, EXIT_UNRELIABLE, EXIT_INTERNAL}
+# magnitudes at both ends of double precision, subnormals and signed zeros included
+EXTREME = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-308, 1e-154, 1.0, -1.0,
+    1e154, -1e154, 1e300, 1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+])
+
+
+@st.composite
+def extreme_commands(draw):
+    """A command, the parameter file it reads (None if it reads none) and
+    its flags but --format and --out, at extreme magnitudes: every parameter
+    and the query of ``effects``, the exposure moments of ``simulate``, and
+    the query of ``analyze`` (a sparse CSV, B=4) and ``mc-study`` (J=3, n=50,
+    R=3).  Data values and study designs of that size are out of scope until
+    the fits scale their designs."""
+    command = draw(st.sampled_from(["effects", "simulate", "analyze", "mc-study"]))
+    if command == "simulate":
+        return command, None, [*J3_FLAGS, "--n", "20", "--mean-x", repr(draw(EXTREME)),
+                               "--sd-x", repr(draw(EXTREME)), "--seed", "3"]
+    query = ["--x", repr(draw(EXTREME)), "--xstar", repr(draw(EXTREME))]
+    if command == "effects":
+        params = {name: draw(EXTREME) for name in ("gamma0", "gammaX", "betaX", "betaM", "betaXM")}
+        params["alpha"] = sorted(draw(st.lists(EXTREME, min_size=1, max_size=3, unique=True)))
+        return command, params, query
+    if command == "analyze":
+        return command, None, [*query, "--bootstrap", "4", "--seed", "3"]
+    return command, None, [*J3_FLAGS, "--n", "50", "--replications", "3", "--seed", "3", *query]
+
+
+@pytest.fixture(scope="module")
+def sparse_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sparse") / "data.csv"
+    assert main(["simulate", *SPARSE_FLAGS, "--seed", "7", "--out", str(path)]) == EXIT_OK
+    return path
 
 
 def read_csv(path):
@@ -152,6 +193,17 @@ class TestEffectsCommand:
         assert code == EXIT_INTERNAL == 4
         assert "log TCE != log NDE + log NIE at level 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("x", ["3e6", "1e7", "1e10"])
+    def test_large_effects_pass_the_decomposition_check(self, tmp_path, x):
+        # one rounding of a log TCE beyond about 5e5 exceeds 1e-10, so the
+        # check's bound is relative there and these valid tables are written
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"effects.{fmt}"
+            assert main(["effects", "--params", str(DATA_DIR / "params_j3.json"), "--x", x, "--xstar", "0",
+                         "--format", fmt, "--out", str(out)]) == EXIT_OK
+        cde = [e["log_odds_ratio"] for e in json.loads(out.read_text())["effects"] if e["effect"] == "cde"]
+        assert cde == [(1.1 + 0.5) * float(x), 1.1 * float(x)]
 
     def test_unknown_param_field_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -688,6 +740,45 @@ class TestInputRules:
         if case == "parameters":
             assert "mediator parameters [1e+308, -1e+308]" in errors[0]
 
+    @pytest.mark.parametrize("command", ["analyze", "mc-study"])
+    def test_overflowing_summaries_are_named(self, tmp_path, capsys, command):
+        # finite effect rows whose bootstrap or study summary overflows exit 1
+        # under each output format, with one message that names the query and
+        # no output; a RuntimeWarning would fail the test
+        extreme = ["--x", "1e300", "--xstar", "-1e300"]
+        if command == "analyze":
+            data_csv = tmp_path / "data.csv"
+            assert main(["simulate", *SPARSE_FLAGS, "--seed", "7", "--out", str(data_csv)]) == EXIT_OK
+            argv = ["analyze", "--data", str(data_csv), *extreme, "--bootstrap", "20", "--seed", "3"]
+        else:
+            argv = ["mc-study", *J3_FLAGS, "--n", "50", "--replications", "4", "--seed", "3", *extreme]
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"report.{fmt}"
+            assert main([*argv, "--format", fmt, "--out", str(out)]) == EXIT_VALIDATION
+            assert not out.exists()
+            assert capsys.readouterr().err == ("error: the summary of the effects at x=1e+300, xstar=-1e+300, c=() "
+                                               "overflows double precision\n")
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=extreme_commands())
+    def test_extreme_magnitudes_exit_with_a_readme_code(self, sparse_csv, case):
+        # no exception escapes main (a RuntimeWarning fails the test too), and
+        # both formats give one exit code and one message
+        command, params, flags = case
+        inputs = {"effects": ["--params", str(sparse_csv.with_name("params.json"))],
+                  "analyze": ["--data", str(sparse_csv)]}.get(command, [])
+        if params is not None:
+            sparse_csv.with_name("params.json").write_text(json.dumps(params))
+        results = []
+        for fmt in ["csv"] if command == "simulate" else ["csv", "json"]:
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main([command, *inputs, *flags, *(["--format", fmt] if command != "simulate" else []),
+                             "--out", str(sparse_csv.with_name(f"out.{fmt}"))])
+            results.append((code, stderr.getvalue()))
+        assert results[0][0] in README_CODES, results
+        assert results[-1] == results[0]
+
     @pytest.mark.parametrize("flags", [
         ["--x", "-.5"], ["--x", "-0.5"], ["--x", "-5"], ["--x", "-1e3"], ["--x", "-1E-3"],
         ["--alpha", "-.9,.9"], ["--x", "-inf"],
@@ -900,6 +991,74 @@ class TestFormatParity:
             for estimate in payload["estimates"]
             for (effect, level), value in zip(labels, estimate["values"])
         ])
+
+
+class TestFailedWrites:
+    """A command that fails while it writes leaves no output file and no
+    temporary behind, and a file already at an output path keeps its bytes."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_refused_value_leaves_no_partial_report(self, tmp_path, monkeypatch, capsys, fmt, existing):
+        out = tmp_path / f"effects.{fmt}"
+        if existing:
+            out.write_text("previous report\n")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        monkeypatch.setattr(ordmed.cli, "_odds_ratio", lambda log_odds_ratio: math.nan)
+        code = main(["effects", "--params", str(DATA_DIR / "params_j3.json"), "--x", "3.5", "--xstar", "2",
+                     "--format", fmt, "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: Out of range float values are not JSON compliant: nan\n"
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("command, fmt, failing", [
+        ("effects", "csv", 0), ("effects", "json", 0), ("simulate", "csv", 0),
+        ("analyze", "csv", 0), ("analyze", "csv", 1), ("analyze", "json", 0),
+        ("mc-study", "csv", 0), ("mc-study", "csv", 1), ("mc-study", "json", 0),
+    ])
+    def test_a_full_disk_leaves_every_output_as_it_was(self, tmp_path, monkeypatch, capsys, command, fmt, failing):
+        # the file ``failing`` of the command's outputs stops with ENOSPC part
+        # of the way through; only the --out file exists beforehand
+        data_csv = tmp_path / "data.csv"
+        assert main(["simulate", *SPARSE_FLAGS, "--seed", "7", "--out", str(data_csv)]) == EXIT_OK
+        out = tmp_path / f"report.{fmt}"
+        argv = {
+            "effects": ["effects", "--params", str(DATA_DIR / "params_j3.json"), "--x", "3.5", "--xstar", "2"],
+            "simulate": ["simulate", *SPARSE_FLAGS, "--seed", "8"],
+            "analyze": ["analyze", "--data", str(data_csv), "--x", "3.5", "--xstar", "2", "--bootstrap", "8",
+                        "--seed", "17"],
+            "mc-study": ["mc-study", *J3_FLAGS, "--n", "120", "--replications", "6", "--x", "3.5", "--xstar", "2",
+                         "--seed", "5"],
+        }[command] + (["--format", fmt] if command != "simulate" else []) + ["--out", str(out)]
+        out.write_text("previous report\n")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        full_disk = OSError(28, "No space left on device")
+        written = []
+
+        def rows_until_full(rows):
+            yield next(iter(rows))
+            raise full_disk
+
+        class Unencodable(dict):
+            # the indented JSON writer encodes a dict through its items()
+            def items(self):
+                raise full_disk
+
+        def write_csv(path, metadata, header, rows, real=ordmed.cli._write_csv):
+            written.append(path)
+            real(path, metadata, header, rows_until_full(rows) if len(written) - 1 == failing else rows)
+
+        def write_json(path, document, real=ordmed.cli._write_json):
+            written.append(path)
+            real(path, {**document, "last": Unencodable(value=0)})
+
+        monkeypatch.setattr(ordmed.cli, "_write_csv", write_csv)
+        monkeypatch.setattr(ordmed.cli, "_write_json", write_json)
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert len(written) == failing + 1
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 class TestProcessEntry:

@@ -347,6 +347,17 @@ class TestEffectTable:
                 assert table.log_nie[j - 1] == pytest.approx(cf_x_xs - cf_x_x, abs=1e-10)
                 assert table.log_tce[j - 1] == pytest.approx(cf_xs_xs - cf_x_x, abs=1e-10)
 
+    @pytest.mark.parametrize("mediator, outcome", [(J3_MEDIATOR, J3_OUTCOME), (J5_MEDIATOR, J5_OUTCOME)],
+                             ids=["j3", "j5"])
+    def test_decomposition_holds_for_large_contrasts(self, mediator, outcome):
+        # one rounding of a log TCE beyond about 5e5 exceeds 1e-10, so the
+        # bound is 1e-10 relative to |log TCE| once that passes 1
+        for distance in np.logspace(0, 10, 61):
+            for x, xstar in ((distance, 0.0), (0.0, distance), (X_BASELINE + distance, X_BASELINE)):
+                table = effect_table(EffectQuery(x, xstar), mediator, outcome)
+                for t, d, i in zip(table.log_tce, table.log_nde, table.log_nie):
+                    assert abs(t - (d + i)) <= 1e-10 * max(1.0, abs(t))
+
     def test_swapped_query_gives_complementary_decomposition(self, rng):
         # swapping x and xstar (the documented symmetry) inverts the total
         # effect and re-apportions the interaction between NDE and NIE
