@@ -11,13 +11,11 @@ from .effects import (
     effect_labels,
     effect_table,
     g_cross,
-    g_observed,
     log_cde,
     log_nde,
     log_nie,
     log_rr_correction,
     log_tce,
-    marginal_cumulative_logit,
     plug_in_oracle,
 )
 from .estimation import (
@@ -87,7 +85,6 @@ __all__ = [
     "fit_mediator",
     "fit_outcome",
     "g_cross",
-    "g_observed",
     "log_cde",
     "log_nde",
     "log_nie",
@@ -95,7 +92,6 @@ __all__ = [
     "log_tce",
     "loglik_mediator",
     "loglik_outcome",
-    "marginal_cumulative_logit",
     "mediator_loglik_gradient",
     "mediator_probability",
     "monte_carlo_study",

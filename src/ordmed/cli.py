@@ -15,7 +15,8 @@ block (tool version, full command line, seed) sufficient to reproduce the
 run; readers here skip ``#`` lines.
 
 Exit codes: 0 success; 1 validation error or data that cannot be fitted,
-including a bootstrap whose every resample failed (no report is written);
+including a bootstrap whose every resample failed (no report is written),
+or a request larger than memory;
 2 convergence failure; 3 bootstrap unreliable (more than half the resamples
 failed; the report is written and flagged); 4 internal consistency check
 failed (a bug in ordmed, not a problem with the input).  A command that
@@ -80,7 +81,7 @@ def main(argv=None):
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (CliError, MediationError, ValueError, OSError) as exc:
+    except (CliError, MediationError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -135,9 +135,7 @@ def _mixture_terms(x, xstar, c, mediator_theta, outcome_theta):
     base = alpha - (betaX * x)[..., None] - np.vecdot(betaC, c)[:, None]
     shift = (betaM + betaXM * x)[..., None]
     log_ratio = log1pexp(base) - log1pexp(base - shift)
-    mediator_eta = gamma0 + gammaX * np.asarray(xstar, dtype=float)[:, None]
-    if c.size:
-        mediator_eta = mediator_eta + np.vecdot(gammaC, c)
+    mediator_eta = gamma0 + gammaX * np.asarray(xstar, dtype=float)[:, None] + np.vecdot(gammaC, c)
     g0 = log_ratio + mediator_eta[..., None]
     g1 = -shift + log_ratio + mediator_eta[..., None]
     log_rr = log1pexp(g0) - log1pexp(g1)
@@ -155,17 +153,11 @@ def _term_at(key, j, x, xstar, c, mediator, outcome):
 def g_cross(d, j, x, xstar, c, mediator: MediatorModel, outcome: OutcomeModel):
     """Log odds of M=1 given the event I(Y<=j)=d, mixing the outcome part at
     exposure ``x`` with the mediator part at exposure ``xstar`` (formula in
-    :func:`_mixture_terms`).  ``g_cross(d, j, x, x, c)`` is the one-exposure
-    form exactly (same arithmetic path)."""
+    :func:`_mixture_terms`).  ``g_cross(d, j, x, x, c)`` is the observed g
+    at the one exposure ``x``, which depends on j only through alpha_j."""
     if d not in (0, 1):
         raise ValueError(f"d must be 0 or 1, got {d!r}")
     return _term_at(f"g{d}", j, x, xstar, c, mediator, outcome)
-
-
-def g_observed(d, j, x, c, mediator: MediatorModel, outcome: OutcomeModel):
-    """Log odds of M=1 given I(Y<=j)=d at a single exposure ``x``; depends on
-    j only through the threshold alpha_j."""
-    return g_cross(d, j, x, x, c, mediator, outcome)
 
 
 def log_rr_correction(j, x, c, mediator: MediatorModel, outcome: OutcomeModel):
@@ -181,14 +173,6 @@ def counterfactual_cumulative_logit(j, x, xstar, c, mediator: MediatorModel, out
     under exposure ``xstar``.  With xstar = x this is the ordinary marginal
     cumulative logit of Y on X."""
     return _term_at("logit", j, x, xstar, c, mediator, outcome)
-
-
-def marginal_cumulative_logit(j, x, c, mediator: MediatorModel, outcome: OutcomeModel):
-    """logit P(Y<=j | x, c) after marginalising the mediator:
-    alpha_j - betaX*x - betaC.c - log RR correction.  Shares its arithmetic
-    path with the counterfactual logit at xstar = x, and must agree with the
-    direct two-term mixture logit to machine precision."""
-    return counterfactual_cumulative_logit(j, x, x, c, mediator, outcome)
 
 
 def plug_in_oracle(j, x, xstar, c, mediator: MediatorModel, outcome: OutcomeModel):

@@ -118,14 +118,14 @@ def _simulate_stack(design: SimulationDesign, seeds) -> _Stack:
     keys = np.tile([(_SIM_DOMAIN, role) for role in roles], (len(seeds), 1))
     streams = keyed_streams(np.repeat(seeds, len(roles)), keys)
 
-    def uniforms(role, draw):
-        return np.array([draw(rng) for rng in streams[roles.index(role)::len(roles)]])
+    def uniforms(role, shape):
+        return np.array([rng.random(shape) for rng in streams[roles.index(role)::len(roles)]])
 
     def normals(role, shape):
-        # AS 241 quantiles of (k + 0.5) * 2^-53 for k uniform on [0, 2^53):
-        # strictly inside (0, 1), so the quantile never sees an endpoint
-        k = uniforms(role, lambda rng: rng.integers(0, 1 << 53, size=shape))
-        return inverse_normal_cdf((k.astype(np.float64) + 0.5) * 2.0**-53)
+        # random() is k * 2^-53 for k uniform on [0, 2^53); adding 2^-54
+        # rounds as (k + 0.5) * 2^-53 does: strictly inside (0, 1), so the
+        # AS 241 quantile never sees an endpoint
+        return inverse_normal_cdf(uniforms(role, shape) + 2.0**-54)
 
     with np.errstate(over="ignore", invalid="ignore"):
         x = _finite(design.mean_x + design.sd_x * normals(_ROLE_X, n), "x", "mean_x and sd_x")
@@ -134,12 +134,12 @@ def _simulate_stack(design: SimulationDesign, seeds) -> _Stack:
             C = _finite(np.asarray(design.cov_means) + np.asarray(design.cov_sds) * normals(_ROLE_COVARIATES, (n, p)),
                         "the covariates", "cov_means and cov_sds")
         eta = _finite(_mediator_eta(design.mediator, x, C), "the mediator predictor", "the mediator coefficients")
-        m = (uniforms(_ROLE_MEDIATOR, lambda rng: rng.random(n)) < expit(eta)).astype(np.int64)
+        m = (uniforms(_ROLE_MEDIATOR, n) < expit(eta)).astype(np.int64)
 
         # inverse-CDF draw, one threshold at a time: y - 1 counts the
         # cumulative probabilities expit(alpha_j - eta) at or below u
         eta = _finite(_outcome_eta(design.outcome, x, m, C), "the outcome predictor", "the outcome coefficients")
-        u = uniforms(_ROLE_OUTCOME, lambda rng: rng.random(n))
+        u = uniforms(_ROLE_OUTCOME, n)
         y = np.ones((len(seeds), n), dtype=np.int64)
         for alpha in design.outcome.alpha:
             y += u >= expit(alpha - eta)

@@ -759,6 +759,24 @@ class TestInputRules:
             assert capsys.readouterr().err == ("error: the summary of the effects at x=1e+300, xstar=-1e+300, c=() "
                                                "overflows double precision\n")
 
+    @pytest.mark.parametrize("command, fmt", [("simulate", "csv"), ("mc-study", "csv"), ("mc-study", "json")])
+    def test_requests_larger_than_memory_are_named(self, tmp_path, capsys, monkeypatch, command, fmt):
+        # the allocation failure is injected: a real oversized request could
+        # be granted by a host that overcommits memory, and then kill the run
+        message = "Unable to allocate 745. GiB for an array with shape (1, 100000000000) and data type float64"
+
+        def oversized(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(ordmed.cli, "simulate_dataset", oversized)
+        monkeypatch.setattr(ordmed.cli, "monte_carlo_study", oversized)
+        out = tmp_path / f"report.{fmt}"
+        run = ["--replications", "5", "--x", "3.5", "--xstar", "2", "--format", fmt] if command == "mc-study" else []
+        code = main([command, *J3_FLAGS, "--n", "50", *run, "--seed", "3", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(case=extreme_commands())
     def test_extreme_magnitudes_exit_with_a_readme_code(self, sparse_csv, case):

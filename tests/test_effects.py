@@ -26,13 +26,11 @@ from ordmed import (
     effect_labels,
     effect_table,
     g_cross,
-    g_observed,
     log_cde,
     log_nde,
     log_nie,
     log_rr_correction,
     log_tce,
-    marginal_cumulative_logit,
     mediator_probability,
     plug_in_oracle,
 )
@@ -122,45 +120,37 @@ class TestEffectQuery:
 
 class TestGFunctions:
     def test_g_observed_oracle_values(self):
-        assert g_observed(0, 1, 3.5, (), J3_MEDIATOR, J3_OUTCOME) == pytest.approx(G_OBS_D0, abs=1e-12)
-        assert g_observed(1, 1, 3.5, (), J3_MEDIATOR, J3_OUTCOME) == pytest.approx(G_OBS_D1, abs=1e-12)
+        assert g_cross(0, 1, 3.5, 3.5, (), J3_MEDIATOR, J3_OUTCOME) == pytest.approx(G_OBS_D0, abs=1e-12)
+        assert g_cross(1, 1, 3.5, 3.5, (), J3_MEDIATOR, J3_OUTCOME) == pytest.approx(G_OBS_D1, abs=1e-12)
 
     def test_d_term_is_a_shift(self):
-        g0 = g_observed(0, 1, 3.5, (), J3_MEDIATOR, J3_OUTCOME)
-        g1 = g_observed(1, 1, 3.5, (), J3_MEDIATOR, J3_OUTCOME)
+        g0 = g_cross(0, 1, 3.5, 3.5, (), J3_MEDIATOR, J3_OUTCOME)
+        g1 = g_cross(1, 1, 3.5, 3.5, (), J3_MEDIATOR, J3_OUTCOME)
         assert g1 == pytest.approx(g0 - (0.7 + 0.5 * 3.5), abs=1e-12)
 
     def test_d_irrelevant_without_mediator_effect(self):
         out = OutcomeModel((2.5, 5.5), 1.1, 0.0, 0.0)
         for j in (1, 2):
-            assert g_observed(0, j, 1.7, (), J3_MEDIATOR, out) == g_observed(
-                1, j, 1.7, (), J3_MEDIATOR, out
+            assert g_cross(0, j, 1.7, 1.7, (), J3_MEDIATOR, out) == g_cross(
+                1, j, 1.7, 1.7, (), J3_MEDIATOR, out
             )
 
     def test_g_cross_oracle_values(self):
         assert g_cross(0, 1, 3.5, 2.0, (), J3_MEDIATOR, J3_OUTCOME) == pytest.approx(G_CROSS_D0, abs=1e-12)
         assert g_cross(1, 1, 3.5, 2.0, (), J3_MEDIATOR, J3_OUTCOME) == pytest.approx(G_CROSS_D1, abs=1e-12)
 
-    def test_cross_collapses_to_observed_bitwise(self, rng):
-        for _ in range(100):
-            med, out = random_model_pair(rng)
-            d = int(rng.integers(2))
-            j = int(rng.integers(1, out.J))
-            x = rng.uniform(-3, 3)
-            assert g_cross(d, j, x, x, (), med, out) == g_observed(d, j, x, (), med, out)
-
     def test_level_and_d_validation(self):
         with pytest.raises(ValueError):
-            g_observed(2, 1, 1.0, (), J3_MEDIATOR, J3_OUTCOME)
+            g_cross(2, 1, 1.0, 1.0, (), J3_MEDIATOR, J3_OUTCOME)
         with pytest.raises(ValueError):
-            g_observed(0, 3, 1.0, (), J3_MEDIATOR, J3_OUTCOME)
+            g_cross(0, 3, 1.0, 1.0, (), J3_MEDIATOR, J3_OUTCOME)
 
     def test_covariate_dimension_checked(self):
         with pytest.raises(DimensionError):
-            g_observed(0, 1, 1.0, (1.0,), J3_MEDIATOR, J3_OUTCOME)
+            g_cross(0, 1, 1.0, 1.0, (1.0,), J3_MEDIATOR, J3_OUTCOME)
         med = MediatorModel(0.0, 0.0, (1.0,))
         with pytest.raises(DimensionError):
-            g_observed(0, 1, 1.0, (1.0,), med, J3_OUTCOME)
+            g_cross(0, 1, 1.0, 1.0, (1.0,), med, J3_OUTCOME)
 
 
 class TestLogRRCorrection:
@@ -183,12 +173,12 @@ class TestLogRRCorrection:
 class TestMarginalLogit:
     def test_reduces_without_mediator_effect(self):
         out = OutcomeModel((2.5, 5.5), 1.1, 0.0, 0.0)
-        assert marginal_cumulative_logit(1, 2.0, (), J3_MEDIATOR, out) == pytest.approx(
+        assert counterfactual_cumulative_logit(1, 2.0, 2.0, (), J3_MEDIATOR, out) == pytest.approx(
             2.5 - 1.1 * 2.0, abs=1e-15
         )
 
     def test_oracle_value(self):
-        assert marginal_cumulative_logit(1, 2.0, (), J3_MEDIATOR, J3_OUTCOME) == pytest.approx(
+        assert counterfactual_cumulative_logit(1, 2.0, 2.0, (), J3_MEDIATOR, J3_OUTCOME) == pytest.approx(
             MARGINAL_J1_X2, abs=1e-12
         )
 
@@ -206,19 +196,10 @@ class TestMarginalLogit:
             mix = (1 - pm) * cumulative_probability(out, j, x, 0, c) + pm * cumulative_probability(out, j, x, 1, c)
             upper = (1 - pm) * category_probabilities(out, x, 0, c)[j:].sum() + pm * category_probabilities(out, x, 1, c)[j:].sum()
             direct = math.log(mix) - math.log(upper)
-            assert marginal_cumulative_logit(j, x, c, med, out) == pytest.approx(direct, abs=1e-12)
+            assert counterfactual_cumulative_logit(j, x, x, c, med, out) == pytest.approx(direct, abs=1e-12)
 
 
 class TestCounterfactualLogit:
-    def test_collapses_to_marginal_bitwise(self, rng):
-        for _ in range(100):
-            med, out = random_model_pair(rng)
-            j = int(rng.integers(1, out.J))
-            x = rng.uniform(-3, 3)
-            assert counterfactual_cumulative_logit(j, x, x, (), med, out) == marginal_cumulative_logit(
-                j, x, (), med, out
-            )
-
     def test_oracle_value(self):
         assert counterfactual_cumulative_logit(1, 3.5, 2.0, (), J3_MEDIATOR, J3_OUTCOME) == pytest.approx(
             COUNTERFACTUAL_J1, abs=1e-12
