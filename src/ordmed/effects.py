@@ -38,6 +38,7 @@ from .models import (
     _finite_scalar,
     _finite_tuple,
     _parameters,
+    _whole,
     category_probabilities,
     cumulative_probability,
     mediator_probability,
@@ -146,6 +147,7 @@ def _term_at(key, j, x, xstar, c, mediator, outcome):
     # validated lookup of one _mixture_terms entry at level j
     c = _check_pair(mediator, outcome, c)
     j = _check_level(j, outcome.J)
+    x, xstar = _finite_scalar(x, "x"), _finite_scalar(xstar, "xstar")
     terms = _mixture_terms([x], [xstar], c, _parameters(mediator)[None], _parameters(outcome)[None])
     return float(terms[key][0, 0, j - 1])
 
@@ -155,9 +157,7 @@ def g_cross(d, j, x, xstar, c, mediator: MediatorModel, outcome: OutcomeModel):
     exposure ``x`` with the mediator part at exposure ``xstar`` (formula in
     :func:`_mixture_terms`).  ``g_cross(d, j, x, x, c)`` is the observed g
     at the one exposure ``x``, which depends on j only through alpha_j."""
-    if d not in (0, 1):
-        raise ValueError(f"d must be 0 or 1, got {d!r}")
-    return _term_at(f"g{d}", j, x, xstar, c, mediator, outcome)
+    return _term_at(f"g{_whole(d, 'd', 0, 2)}", j, x, xstar, c, mediator, outcome)
 
 
 def log_rr_correction(j, x, c, mediator: MediatorModel, outcome: OutcomeModel):

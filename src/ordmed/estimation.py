@@ -20,8 +20,10 @@ trajectory and result are bitwise the same in a stack of any size.  A single
 fit is a stack of one.  One error list, indexed by stack position, serves
 both fits of a stack: the data checks and then the engine record into it,
 the engine runs only the problems without an error, and a failure never
-stops the rest of the stack.  The drivers take the parameter rows, so only
-a single fit builds a FitResult.
+stops the rest of the stack.  The engine returns one record per stack,
+``_Fits``: every problem's final parameters, Hessian, log-likelihood,
+max |gradient| and counts, as arrays.  A FitResult is one row of it; the
+resampling drivers read only the parameter rows.
 
 Both fits start from least squares on their own data: the mediator at glm's
 first IRLS step from mu = (m + 1/2)/2, z = (2m - 1)(log 3 + 4/3) on (1, x, c);
@@ -202,8 +204,8 @@ def _fit_pairs(stack: _Stack):
     or the error that ``fit_mediator`` and then ``fit_outcome`` raise on it."""
     errors = [None] * len(stack.y)
     designs = _designs(stack)
-    gamma, _ = _solve_mediators(stack, errors, designs)
-    beta, _ = _solve_outcomes(stack, errors, designs)
+    gamma = _solve_mediators(stack, errors, designs).theta
+    beta = _solve_outcomes(stack, errors, designs).theta
     ok = [error is None for error in errors]
     return gamma[ok], beta[ok], errors
 
@@ -225,15 +227,14 @@ def _fit_outcomes(stack: _Stack):
 
 def _fit_results(stack, solve, model_of):
     # per dataset, the error that solve(stack, errors) records or the
-    # FitResult of its fit, with model_of(theta) as its model
+    # FitResult of its row of the record, with model_of(theta) as its model
     errors = [None] * len(stack.y)
-    theta, fits = solve(stack, errors, _designs(stack))
-    for s, fit in enumerate(fits):
-        if fit:
-            hess, ll, gnorm, (iterations, evaluations, halvings, fallback_steps) = fit
-            ses = _standard_errors(-hess[None])[0]
-            errors[s] = FitResult(model_of(theta[s]), ll, gnorm, iterations, tuple(ses), evaluations, halvings,
-                                  fallback_steps)
+    fits = solve(stack, errors, _designs(stack))
+    for s in np.flatnonzero(np.equal(errors, None)).tolist():
+        iterations, evaluations, halvings, fallback_steps = fits.counts[s].tolist()
+        ses = _standard_errors(-fits.hess[s:s + 1])[0]
+        errors[s] = FitResult(model_of(fits.theta[s]), fits.loglik[s].item(), fits.gradient_norm[s].item(),
+                              iterations, tuple(ses), evaluations, halvings, fallback_steps)
     return errors
 
 
@@ -256,7 +257,7 @@ def _solve_mediators(stack: _Stack, errors, designs):
     cols = np.r_[0, 1, 4:gram.shape[2]]  # the (1, x, c) block of A's Gram matrix is Z's
     z = (2.0 * stack.m - 1.0) * (math.log(3.0) + 4.0 / 3.0)  # glm's working response at mu = (m + 1/2)/2
     theta0 = _least_squares(errors, gram[:, cols[:, None], cols], (Z.mT @ z[:, :, None])[:, :, 0])
-    return _solve(errors, _bernoulli_parts, theta0, (Z, stack.m.astype(float)), "mediator model")
+    return _newton_maximize(_bernoulli_parts, theta0, (Z, stack.m.astype(float)), "mediator model", errors)
 
 
 def _solve_outcomes(stack: _Stack, errors, designs):
@@ -266,7 +267,7 @@ def _solve_outcomes(stack: _Stack, errors, designs):
     if J > n:  # some level is never observed: fail before counting J cells per problem
         error = DegenerateDataError(f"{J} outcome levels but only {n} records; every level must appear at least once")
         _fail(errors, np.ones(S, dtype=bool), lambda s: error)
-        return _solve(errors, None, np.empty((0, K + W.shape[2])), (), "outcome model")
+        return _newton_maximize(None, np.broadcast_to(0.0, (S, K + W.shape[2])), (), "outcome model", errors)
     counts = np.bincount(
         (stack.y + np.arange(0, S * (J + 1), J + 1)[:, None]).ravel(), minlength=S * (J + 1)
     ).reshape(S, J + 1)[:, 1:]
@@ -290,8 +291,9 @@ def _solve_outcomes(stack: _Stack, errors, designs):
     del t  # the outcome kernel sets the memory peak
     beta0 = _least_squares(errors, gram, rhs)[:, 1:]
     alpha0 = logits[:, :K] + (np.vecdot(gram[:, 0, 1:], beta0) / n)[:, None]
-    return _solve(errors, lambda theta, W, y, ends: _proportional_odds_parts(theta[:, :K], theta[:, K:], W, y, J, ends),
-                  np.concatenate([alpha0, beta0], axis=1), (W, stack.y, _open_ends(stack.y, J)), "outcome model")
+    return _newton_maximize(
+        lambda theta, W, y, ends: _proportional_odds_parts(theta[:, :K], theta[:, K:], W, y, J, ends),
+        np.concatenate([alpha0, beta0], axis=1), (W, stack.y, _open_ends(stack.y, J)), "outcome model", errors)
 
 
 def _fail(errors, mask, error_of):
@@ -306,26 +308,6 @@ def _least_squares(errors, gram, rhs):
     gram = np.where(np.equal(errors, None)[:, None, None], gram, np.eye(gram.shape[1]))
     coef = _solve_each(gram, rhs[:, :, None])[:, :, 0]
     return np.where(np.isfinite(coef).all(axis=1)[:, None], coef, 0.0)
-
-
-def _solve(errors, parts, theta0, args, what):
-    """Run the Newton engine from the rows of theta0 of the problems without
-    an error yet, and record each failure in ``errors``.  Returns the final
-    parameter rows of the whole stack (zero where a problem has an error) and
-    per problem None or its final (Hessian, loglik, max |gradient|, counts)."""
-    live = [s for s, error in enumerate(errors) if error is None]
-    theta = np.zeros((len(errors), theta0.shape[1]))
-    fits = [None] * len(errors)
-    if live:
-        if len(live) < len(errors):
-            theta0, *args = (a[live] for a in (theta0, *args))
-        theta[live], hess, outcomes = _newton_maximize(parts, theta0, args, what)
-        for s, h, outcome in zip(live, hess, outcomes):
-            if isinstance(outcome, Exception):
-                errors[s] = outcome
-            else:
-                fits[s] = (h, *outcome)
-    return theta, fits
 
 
 # ----------------------------------------------------------------------
@@ -448,39 +430,56 @@ def _proportional_odds_parts(alpha, beta, W, y, J, open_ends=None):
 # ----------------------------------------------------------------------
 # Newton engine
 
-def _newton_maximize(fun, theta0, args, what):
-    """Maximize S independent problems from the rows of theta0 by the loop
-    described in the module docstring.
+class _Fits(NamedTuple):
+    """The final state of every problem of a stack, rows in stack order: zero
+    rows (and zero-width Hessians when no problem ran) for the problems that
+    already had an error.  ``counts`` holds the accepted steps, evaluations,
+    rejected candidates and damped-gradient directions of each problem."""
+
+    theta: np.ndarray  # (S, d)
+    hess: np.ndarray  # (S, d, d)
+    loglik: np.ndarray  # (S,)
+    gradient_norm: np.ndarray  # (S,), max |gradient|
+    counts: np.ndarray  # (S, 4)
+
+
+def _newton_maximize(fun, theta0, args, what, errors):
+    """Maximize the problems of a stack that have no error in ``errors`` yet,
+    from their rows of theta0, by the loop described in the module docstring,
+    and record the error that stops a problem in ``errors``.
 
     ``fun(theta, *args)`` evaluates the running problems: theta (S', d) and
     the rows of ``args`` (arrays with a leading problem axis) that belong to
-    them.  Returns the final theta (S, d) and Hessian (S, d, d) of every
-    problem, and per problem the error that stopped it or its final
-    (loglik, max |gradient|, counts), where counts are the accepted steps,
-    evaluations, rejected candidates and damped-gradient directions.
+    them.  Returns the stack's _Fits, which holds the final state of every
+    problem it ran, whether that problem converged or stopped with an error.
 
     Arrays hold the rows of the running problems; the accept-or-halve rules
     act on each problem's own Python floats, so they are the scalar rules of
     a single fit whatever the stack size.
     """
+    ids = [s for s, error in enumerate(errors) if error is None]
+    S, d = theta0.shape
+    width = d if ids else 0  # a stack with nothing to run allocates no Hessians
+    fits = _Fits(np.zeros((S, d)), np.zeros((S, width, width)), np.zeros(S), np.zeros(S),
+                 np.zeros((S, 4), dtype=np.int64))
+    if not ids:
+        return fits
+    if len(ids) < S:
+        theta0, *args = (a[ids] for a in (theta0, *args))
     theta = np.array(theta0, dtype=float)
-    S = theta.shape[0]
     ll, grad, hess, _ = fun(theta, *args)
-    final_theta, final_hess = np.empty_like(theta), np.empty_like(hess)
-    outcomes = [None] * S
 
-    # per running problem: its index in the stack, log-likelihood, max
+    # per running problem: its index in the stack (ids), log-likelihood, max
     # |gradient|, candidates rejected since its last accepted step (its step
     # is 2^-rejected) and counts (iterations, evaluations, halvings, damped directions)
-    ids = list(range(S))
     lls = ll.tolist()
     gnorms = np.abs(grad).max(axis=1).tolist()
-    rejected = [0] * S
-    counts = [[0, 1, 0, 0] for _ in range(S)]
+    rejected = [0] * len(ids)
+    counts = [[0, 1, 0, 0] for _ in ids]
     stopped = []
-    for i in range(S):
+    for i, s in enumerate(ids):
         if not math.isfinite(lls[i]):
-            outcomes[i] = ConvergenceError(f"{what}: log-likelihood not finite at the starting values")
+            errors[s] = ConvergenceError(f"{what}: log-likelihood not finite at the starting values")
             stopped.append(i)
         elif not gnorms[i] > GRADIENT_TOL:
             stopped.append(i)
@@ -488,13 +487,11 @@ def _newton_maximize(fun, theta0, args, what):
     while True:
         if stopped:
             rows = [ids[i] for i in stopped]
-            final_theta[rows], final_hess[rows] = theta[stopped], hess[stopped]
-            for i in stopped:
-                if outcomes[ids[i]] is None:
-                    outcomes[ids[i]] = (lls[i], gnorms[i], tuple(counts[i]))
+            for field, values in zip(fits, (theta, hess, lls, gnorms, counts)):
+                field[rows] = np.asarray(values)[stopped]
             keep = [i for i in range(len(ids)) if i not in stopped]
             if not keep:
-                return final_theta, final_hess, outcomes
+                return fits
             theta, grad, hess = theta[keep], grad[keep], hess[keep]
             args = tuple(a[keep] for a in args)
             ids, lls, gnorms, rejected, counts = ([v[i] for i in keep] for v in (ids, lls, gnorms, rejected, counts))
@@ -518,12 +515,12 @@ def _newton_maximize(fun, theta0, args, what):
                 lls[i], gnorms[i], rejected[i] = new, cnorms[i], 0
                 count[0] += 1
                 if cmax[i] > _DIVERGENCE_NORM:
-                    outcomes[ids[i]] = SeparationError(
+                    errors[ids[i]] = SeparationError(
                         f"{what}: parameter norm exceeded {_DIVERGENCE_NORM:g} while the "
                         "log-likelihood is still improving; the data are likely completely separated"
                     )
                 elif count[0] == _MAX_ITERATIONS and gnorms[i] > GRADIENT_TOL:
-                    outcomes[ids[i]] = ConvergenceError(
+                    errors[ids[i]] = ConvergenceError(
                         f"{what}: no convergence after {_MAX_ITERATIONS} iterations "
                         f"(max |gradient| = {gnorms[i]:.3e})"
                     )

@@ -67,7 +67,7 @@ def _level(value):
 
 
 def _covariate_vector(c, p, owner):
-    arr = np.asarray(() if c is None else c, dtype=float).reshape(-1)
+    arr = np.array(_finite_tuple(() if c is None else c, "c"))
     if arr.size != p:
         raise DimensionError(f"{owner} expects {p} covariate(s), got {arr.size}")
     return arr

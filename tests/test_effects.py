@@ -108,9 +108,17 @@ class TestEffectQuery:
         (3.5, 2.0, b"12"),
     ])
     def test_invalid_query_is_a_model_spec_error(self, x, xstar, c):
-        # the same error class, and the same checks, as model construction
+        # the same error class, and the same checks, as model construction;
+        # the per-level functions apply them to their own query points
         with pytest.raises(ModelSpecError):
             EffectQuery(x, xstar, c)
+        invalid = x if xstar == 2.0 else xstar  # log_rr_correction takes one exposure
+        for point in (lambda: g_cross(0, 1, x, xstar, c, J3_MEDIATOR, J3_OUTCOME),
+                      lambda: counterfactual_cumulative_logit(1, x, xstar, c, J3_MEDIATOR, J3_OUTCOME),
+                      lambda: plug_in_oracle(1, x, xstar, c, J3_MEDIATOR, J3_OUTCOME),
+                      lambda: log_rr_correction(1, invalid, c, J3_MEDIATOR, J3_OUTCOME)):
+            with pytest.raises(ModelSpecError):
+                point()
 
     def test_values_are_stored_as_floats(self):
         q = EffectQuery(3, "2", (1,))
@@ -144,6 +152,14 @@ class TestGFunctions:
             g_cross(2, 1, 1.0, 1.0, (), J3_MEDIATOR, J3_OUTCOME)
         with pytest.raises(ValueError):
             g_cross(0, 3, 1.0, 1.0, (), J3_MEDIATOR, J3_OUTCOME)
+        # d is a whole number by the package's rule: True, 1.0 and numpy
+        # integers are d = 1, and a fraction or a string is a ModelSpecError
+        g1 = g_cross(1, 1, 3.5, 2.0, (), J3_MEDIATOR, J3_OUTCOME)
+        for d in (True, 1.0, np.int64(1)):
+            assert g_cross(d, 1, 3.5, 2.0, (), J3_MEDIATOR, J3_OUTCOME) == g1
+        for d in (0.5, "1", -1):
+            with pytest.raises(ModelSpecError, match="d must be a whole number"):
+                g_cross(d, 1, 3.5, 2.0, (), J3_MEDIATOR, J3_OUTCOME)
 
     def test_covariate_dimension_checked(self):
         with pytest.raises(DimensionError):

@@ -598,8 +598,9 @@ class TestEvaluationCounts:
             return (-np.log(np.cosh(t)), -np.tanh(t)[:, None], (-1.0 / np.cosh(t) ** 2)[:, None, None],
                     np.ones(t.size, dtype=bool))
 
-        theta, _, ((_, gnorm, overshoot),) = _newton_maximize(log_cosh, np.array([[1.5]]), (), "test problem")
-        assert gnorm <= 1e-8 and abs(theta[0, 0]) <= 1e-8
+        fits, _ = _maximize(log_cosh, np.array([[1.5]]))
+        (_, gnorm, overshoot), = _outcomes(fits)
+        assert gnorm <= 1e-8 and abs(fits.theta[0, 0]) <= 1e-8
         counts.append(overshoot)
         for iterations, evaluations, halvings, fallback_steps in counts:
             assert evaluations == 1 + iterations + halvings
@@ -614,8 +615,9 @@ class TestEvaluationCounts:
             hess = (-2.0 * (1.0 - t * t) / (1.0 + t * t) ** 2)[:, None, None]
             return -np.log1p(t * t), (-2.0 * t / (1.0 + t * t))[:, None], hess, np.ones(t.size, dtype=bool)
 
-        theta, _, (far, near) = _newton_maximize(fun, np.array([[2.0], [0.5]]), (), "test problem")
-        assert np.all(np.abs(theta) <= 1e-8)
+        fits, _ = _maximize(fun, np.array([[2.0], [0.5]]))
+        far, near = _outcomes(fits)
+        assert np.all(np.abs(fits.theta) <= 1e-8)
         for _, _, (iterations, evaluations, halvings, damped) in (far, near):
             assert evaluations == 1 + iterations + halvings
         assert far[2][3] >= 1
@@ -632,9 +634,22 @@ def _quadratic(theta, w):
     return -(t * t) - w * u * u, np.stack([-2.0 * t, -2.0 * w * u], axis=1), hess, np.ones(w.size, dtype=bool)
 
 
+def _maximize(fun, theta0, *args, errors=None):
+    # the engine's record of a stack, and its error list (none recorded
+    # before the run unless ``errors`` is given)
+    errors = [None] * len(theta0) if errors is None else errors
+    return _newton_maximize(fun, theta0, args, "test problem", errors), errors
+
+
+def _outcomes(fits):
+    # per problem, (loglik, max |gradient|, counts) from the record's rows
+    return [(ll, gnorm, tuple(counts))
+            for ll, gnorm, counts in zip(fits.loglik.tolist(), fits.gradient_norm.tolist(), fits.counts.tolist())]
+
+
 def _counted(fun, calls):
-    # fun, recording the number of problems of every call: an error exit
-    # returns no counts, so a one-problem stack's evaluations are its calls
+    # fun, recording the number of problems of every call: a one-problem
+    # stack's evaluations are its calls, whether it converges or fails
     def counted(theta, *args):
         calls.append(theta.shape[0])
         return fun(theta, *args)
@@ -654,11 +669,13 @@ class TestEngineExits:
             return original(a, b)
 
         monkeypatch.setattr(ordmed.estimation, "_solved_or_nan", solved_or_nan)
-        theta, hess, (singular, regular) = _newton_maximize(
-            _quadratic, np.zeros((2, 2)), (np.array([0.0, 1.0]),), "test problem")
+        fits, _ = _maximize(_quadratic, np.zeros((2, 2)), np.array([0.0, 1.0]))
+        theta, hess = fits.theta, fits.hess
+        singular, regular = _outcomes(fits)
         assert 1 in fallbacks  # the stacked Newton solve raised LinAlgError
-        alone_theta, alone_hess, (alone,) = _newton_maximize(
-            _quadratic, np.zeros((1, 2)), (np.array([1.0]),), "test problem")
+        alone_fits, _ = _maximize(_quadratic, np.zeros((1, 2)), np.array([1.0]))
+        alone_theta, alone_hess = alone_fits.theta, alone_fits.hess
+        (alone,) = _outcomes(alone_fits)
         assert regular == alone and regular[2] == (1, 2, 0, 0)
         assert theta[1].tobytes() == alone_theta[0].tobytes()
         assert hess[1].tobytes() == alone_hess[0].tobytes()
@@ -690,13 +707,14 @@ class TestEngineExits:
 
         theta0 = np.array([[1.5], [2.0], [1.5], [0.0], [1.0]])
         kind = np.array([0, 1, 1, 2, 2])
-        theta, hess, outcomes = _newton_maximize(fun, theta0, (kind,), "test problem")
+        fits, _ = _maximize(fun, theta0, kind)
+        outcomes = _outcomes(fits)
         for s in range(len(kind)):
-            alone_theta, alone_hess, (alone,) = _newton_maximize(fun, theta0[s:s + 1], (kind[s:s + 1],),
-                                                                  "test problem")
+            alone_fits, _ = _maximize(fun, theta0[s:s + 1], kind[s:s + 1])
+            (alone,) = _outcomes(alone_fits)
             assert outcomes[s] == alone
-            assert theta[s].tobytes() == alone_theta[0].tobytes()
-            assert hess[s].tobytes() == alone_hess[0].tobytes()
+            assert fits.theta[s].tobytes() == alone_fits.theta[0].tobytes()
+            assert fits.hess[s].tobytes() == alone_fits.hess[0].tobytes()
         counts = [outcome[2] for outcome in outcomes]
         assert counts[3] == (1, 2, 0, 0) and counts[4] == (0, 1, 0, 0)
         assert sum(halvings for _, _, halvings, _ in counts) > 0
@@ -708,13 +726,44 @@ class TestEngineExits:
             return np.where(w > 0, ll, -np.inf), grad, hess, ok
 
         calls = []
-        theta, _, (bad, good) = _newton_maximize(_counted(fun, calls), np.zeros((2, 2)),
-                                                 (np.array([0.0, 1.0]),), "test problem")
+        fits, (bad, no_error) = _maximize(_counted(fun, calls), np.zeros((2, 2)), np.array([0.0, 1.0]))
+        good = _outcomes(fits)[1]
         assert isinstance(bad, ConvergenceError) and "starting values" in str(bad)
+        assert no_error is None
         assert calls == [2, 1]  # the failed problem is evaluated once: 1 + 0 + 0
-        _, _, (alone,) = _newton_maximize(_quadratic, np.zeros((1, 2)), (np.array([1.0]),), "test problem")
+        (alone,) = _outcomes(_maximize(_quadratic, np.zeros((1, 2)), np.array([1.0]))[0])
         assert good == alone
         assert good[2][1] == 1 + good[2][0] + good[2][2]
+
+    def test_problems_with_an_error_are_never_run(self):
+        # problems 1 and 3 come with errors (and a singular Hessian for 1):
+        # the engine never evaluates them and leaves their errors and their
+        # zero rows, and every other problem ends bitwise as it does alone
+        def fun(theta, w, stack_rows):
+            evaluated.extend(stack_rows.tolist())
+            return _quadratic(theta, w)
+
+        evaluated, calls = [], []
+        w = np.array([1.0, 0.0, 0.5, 2.0, 3.0])
+        theta0 = np.arange(10.0).reshape(5, 2)
+        recorded = [DegenerateDataError("recorded"), SeparationError("recorded")]
+        fits, errors = _maximize(_counted(fun, calls), theta0, w, np.arange(5),
+                                 errors=[None, recorded[0], None, recorded[1], None])
+        assert calls == [3, 3] and set(evaluated) == {0, 2, 4}
+        assert errors[1] is recorded[0] and errors[3] is recorded[1]
+        assert [errors[s] for s in (0, 2, 4)] == [None] * 3
+        for s in (1, 3):
+            assert all(not field[s].any() for field in fits)
+        for s in (0, 2, 4):
+            alone, _ = _maximize(_quadratic, theta0[s:s + 1], w[s:s + 1])
+            assert [field[s].tobytes() for field in fits] == [field[0].tobytes() for field in alone]
+
+        # a stack without a problem to run makes no kernel call and
+        # allocates no Hessian rows
+        fits, errors = _maximize(_counted(fun, calls), theta0, w, np.arange(5), errors=recorded * 2 + recorded[:1])
+        assert calls == [3, 3] and errors == recorded * 2 + recorded[:1]
+        assert fits.hess.shape == (5, 0, 0)
+        assert all(not field.any() for field in fits)
 
     def test_iteration_limit(self):
         # log-likelihood t rises without bound, and a positive curvature
@@ -724,7 +773,7 @@ class TestEngineExits:
             return theta[:, 0].copy(), np.ones((S, 1)), np.ones((S, 1, 1)), np.ones(S, dtype=bool)
 
         calls = []
-        _, _, (outcome,) = _newton_maximize(_counted(fun, calls), np.zeros((1, 1)), (), "test problem")
+        _, (outcome,) = _maximize(_counted(fun, calls), np.zeros((1, 1)))
         assert isinstance(outcome, ConvergenceError)
         assert f"no convergence after {_MAX_ITERATIONS} iterations" in str(outcome)
         assert len(calls) == 1 + _MAX_ITERATIONS + 0  # every step accepted
@@ -737,10 +786,12 @@ class TestEngineExits:
             return np.zeros(S), np.ones((S, 1)), -np.ones((S, 1, 1)), np.ones(S, dtype=bool)
 
         calls = []
-        theta, _, (outcome,) = _newton_maximize(_counted(fun, calls), np.zeros((1, 1)), (), "test problem")
+        fits, errors = _maximize(_counted(fun, calls), np.zeros((1, 1)))
+        (outcome,) = _outcomes(fits)
+        assert errors == [None]
         assert outcome == (0.0, 1.0, (0, _MAX_HALVINGS + 2, _MAX_HALVINGS + 1, 0))
         assert len(calls) == 1 + 0 + _MAX_HALVINGS + 1
-        assert theta[0, 0] == 0.0
+        assert fits.theta[0, 0] == 0.0
 
 
 def _bits(fit):

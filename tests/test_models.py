@@ -100,13 +100,27 @@ class TestCumulativeProbability:
         with pytest.raises(ValueError):
             cumulative_probability(J3_OUTCOME, 1, 1.0, 2)
 
-    @pytest.mark.parametrize("x", [float("nan"), float("inf"), "a"])
-    def test_query_point_must_be_finite(self, x):
-        # the rule of every other real input, not a NaN probability
-        with pytest.raises(ModelSpecError, match="x must be"):
-            cumulative_probability(J3_OUTCOME, 1, x, 0)
-        with pytest.raises(ModelSpecError, match="x must be"):
-            mediator_probability(MediatorModel(0.0, 1.0), x)
+    @pytest.mark.parametrize("x, c, name", [
+        pytest.param(float("nan"), (0.5,), "x", id="nan"),
+        pytest.param(float("inf"), (0.5,), "x", id="inf"),
+        pytest.param("a", (0.5,), "x", id="a"),
+        pytest.param(1.0, (float("nan"),), "c", id="c-nan"),
+        pytest.param(1.0, (float("-inf"),), "c", id="c-inf"),
+        pytest.param(1.0, ("a",), "c", id="c-str-entry"),
+        pytest.param(1.0, "1", "c", id="c-str"),
+    ])
+    def test_query_point_must_be_finite(self, x, c, name):
+        # the rule of every other real input, not a NaN probability or
+        # numpy's bare ValueError
+        mediator = MediatorModel(0.0, 1.0, (0.3,))
+        outcome = OutcomeModel((2.5, 5.5), 1.1, 0.7, 0.5, (0.2,))
+        for point in (lambda: cumulative_probability(outcome, 1, x, 0, c),
+                      lambda: category_probabilities(outcome, x, 0, c),
+                      lambda: outcome.linear_predictor(x, 1, c),
+                      lambda: mediator_probability(mediator, x, c),
+                      lambda: mediator.linear_predictor(x, c)):
+            with pytest.raises(ModelSpecError, match=f"{name} must be"):
+                point()
 
     @pytest.mark.parametrize("j", [1.5, "1"])
     def test_level_must_be_whole(self, j):
