@@ -184,6 +184,7 @@ def plug_in_oracle(j, x, xstar, c, mediator: MediatorModel, outcome: OutcomeMode
     the closed-form route so the two can cross-check each other."""
     _check_pair(mediator, outcome, c)
     j = _check_level(j, outcome.J)
+    x, xstar = _finite_scalar(x, "x"), _finite_scalar(xstar, "xstar")
     p1 = mediator_probability(mediator, xstar, c)
     num = 0.0
     den = 0.0

@@ -109,16 +109,20 @@ class TestEffectQuery:
     ])
     def test_invalid_query_is_a_model_spec_error(self, x, xstar, c):
         # the same error class, and the same checks, as model construction;
-        # the per-level functions apply them to their own query points
+        # the per-level functions apply them to their own query points and
+        # name the argument at fault
         with pytest.raises(ModelSpecError):
             EffectQuery(x, xstar, c)
-        invalid = x if xstar == 2.0 else xstar  # log_rr_correction takes one exposure
+        name = "x" if math.isnan(x) else "xstar" if math.isinf(xstar) else "c"
         for point in (lambda: g_cross(0, 1, x, xstar, c, J3_MEDIATOR, J3_OUTCOME),
                       lambda: counterfactual_cumulative_logit(1, x, xstar, c, J3_MEDIATOR, J3_OUTCOME),
-                      lambda: plug_in_oracle(1, x, xstar, c, J3_MEDIATOR, J3_OUTCOME),
-                      lambda: log_rr_correction(1, invalid, c, J3_MEDIATOR, J3_OUTCOME)):
-            with pytest.raises(ModelSpecError):
+                      lambda: plug_in_oracle(1, x, xstar, c, J3_MEDIATOR, J3_OUTCOME)):
+            with pytest.raises(ModelSpecError, match=fr"\b{name} must be"):
                 point()
+        # log_rr_correction takes one exposure, which it names x
+        exposure, named = (xstar, "x") if name == "xstar" else (x, name)
+        with pytest.raises(ModelSpecError, match=fr"\b{named} must be"):
+            log_rr_correction(1, exposure, c, J3_MEDIATOR, J3_OUTCOME)
 
     def test_values_are_stored_as_floats(self):
         q = EffectQuery(3, "2", (1,))

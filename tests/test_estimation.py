@@ -598,7 +598,7 @@ class TestEvaluationCounts:
             return (-np.log(np.cosh(t)), -np.tanh(t)[:, None], (-1.0 / np.cosh(t) ** 2)[:, None, None],
                     np.ones(t.size, dtype=bool))
 
-        fits, _ = _maximize(log_cosh, np.array([[1.5]]))
+        fits = _converged(log_cosh, np.array([[1.5]]))
         (_, gnorm, overshoot), = _outcomes(fits)
         assert gnorm <= 1e-8 and abs(fits.theta[0, 0]) <= 1e-8
         counts.append(overshoot)
@@ -615,7 +615,7 @@ class TestEvaluationCounts:
             hess = (-2.0 * (1.0 - t * t) / (1.0 + t * t) ** 2)[:, None, None]
             return -np.log1p(t * t), (-2.0 * t / (1.0 + t * t))[:, None], hess, np.ones(t.size, dtype=bool)
 
-        fits, _ = _maximize(fun, np.array([[2.0], [0.5]]))
+        fits = _converged(fun, np.array([[2.0], [0.5]]))
         far, near = _outcomes(fits)
         assert np.all(np.abs(fits.theta) <= 1e-8)
         for _, _, (iterations, evaluations, halvings, damped) in (far, near):
@@ -639,6 +639,13 @@ def _maximize(fun, theta0, *args, errors=None):
     # before the run unless ``errors`` is given)
     errors = [None] * len(theta0) if errors is None else errors
     return _newton_maximize(fun, theta0, args, "test problem", errors), errors
+
+
+def _converged(fun, theta0, *args):
+    # the record of a stack whose every problem must end without an error
+    fits, errors = _maximize(fun, theta0, *args)
+    assert errors == [None] * len(theta0)
+    return fits
 
 
 def _outcomes(fits):
@@ -669,11 +676,11 @@ class TestEngineExits:
             return original(a, b)
 
         monkeypatch.setattr(ordmed.estimation, "_solved_or_nan", solved_or_nan)
-        fits, _ = _maximize(_quadratic, np.zeros((2, 2)), np.array([0.0, 1.0]))
+        fits = _converged(_quadratic, np.zeros((2, 2)), np.array([0.0, 1.0]))
         theta, hess = fits.theta, fits.hess
         singular, regular = _outcomes(fits)
         assert 1 in fallbacks  # the stacked Newton solve raised LinAlgError
-        alone_fits, _ = _maximize(_quadratic, np.zeros((1, 2)), np.array([1.0]))
+        alone_fits = _converged(_quadratic, np.zeros((1, 2)), np.array([1.0]))
         alone_theta, alone_hess = alone_fits.theta, alone_fits.hess
         (alone,) = _outcomes(alone_fits)
         assert regular == alone and regular[2] == (1, 2, 0, 0)
@@ -707,10 +714,10 @@ class TestEngineExits:
 
         theta0 = np.array([[1.5], [2.0], [1.5], [0.0], [1.0]])
         kind = np.array([0, 1, 1, 2, 2])
-        fits, _ = _maximize(fun, theta0, kind)
+        fits = _converged(fun, theta0, kind)
         outcomes = _outcomes(fits)
         for s in range(len(kind)):
-            alone_fits, _ = _maximize(fun, theta0[s:s + 1], kind[s:s + 1])
+            alone_fits = _converged(fun, theta0[s:s + 1], kind[s:s + 1])
             (alone,) = _outcomes(alone_fits)
             assert outcomes[s] == alone
             assert fits.theta[s].tobytes() == alone_fits.theta[0].tobytes()
@@ -731,7 +738,7 @@ class TestEngineExits:
         assert isinstance(bad, ConvergenceError) and "starting values" in str(bad)
         assert no_error is None
         assert calls == [2, 1]  # the failed problem is evaluated once: 1 + 0 + 0
-        (alone,) = _outcomes(_maximize(_quadratic, np.zeros((1, 2)), np.array([1.0]))[0])
+        (alone,) = _outcomes(_converged(_quadratic, np.zeros((1, 2)), np.array([1.0])))
         assert good == alone
         assert good[2][1] == 1 + good[2][0] + good[2][2]
 
@@ -755,7 +762,7 @@ class TestEngineExits:
         for s in (1, 3):
             assert all(not field[s].any() for field in fits)
         for s in (0, 2, 4):
-            alone, _ = _maximize(_quadratic, theta0[s:s + 1], w[s:s + 1])
+            alone = _converged(_quadratic, theta0[s:s + 1], w[s:s + 1])
             assert [field[s].tobytes() for field in fits] == [field[0].tobytes() for field in alone]
 
         # a stack without a problem to run makes no kernel call and
@@ -786,9 +793,8 @@ class TestEngineExits:
             return np.zeros(S), np.ones((S, 1)), -np.ones((S, 1, 1)), np.ones(S, dtype=bool)
 
         calls = []
-        fits, errors = _maximize(_counted(fun, calls), np.zeros((1, 1)))
+        fits = _converged(_counted(fun, calls), np.zeros((1, 1)))
         (outcome,) = _outcomes(fits)
-        assert errors == [None]
         assert outcome == (0.0, 1.0, (0, _MAX_HALVINGS + 2, _MAX_HALVINGS + 1, 0))
         assert len(calls) == 1 + 0 + _MAX_HALVINGS + 1
         assert fits.theta[0, 0] == 0.0

@@ -1,15 +1,10 @@
-"""The suite's own configuration: a failing test is reported as a failure,
-and the rest of the session still runs; and the package metadata agrees with
-the package."""
+"""The suite's own pytest configuration: a failing test is reported as a
+failure, and the rest of the session still runs."""
 
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
-
-import pytest
-
-import ordmed
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -43,10 +38,3 @@ def test_failing_hypothesis_test_does_not_abort_the_session(tmp_path):
     assert result.returncode == 1, output
     assert "1 failed, 1 passed" in output
     assert "INTERNALERROR" not in output
-
-
-def test_package_version_is_the_project_version():
-    # the CLI metadata prints ordmed.__version__; pyproject.toml writes it too
-    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
-    with PYPROJECT.open("rb") as f:
-        assert ordmed.__version__ == tomllib.load(f)["project"]["version"]
