@@ -31,9 +31,15 @@ the outcome at the slopes beta of each record's mid-cumulative marginal logit
 on A = (1, x, m, x*m, c), alpha_j = logit F_j + mean(x, m, x*m, c) beta.  One
 SVD of A decides both rank checks; (1, x, c) gets one only where A is deficient.
 
-The proportional-odds log-likelihood, score and Hessian come from one
-array-valued kernel over all records; its derivatives are written in density
-ratios f/pi, so a category probability near underflow never produces a NaN.
+Each likelihood has one implementation, an array-valued kernel over all
+records, ``kernel(theta, *arrays) -> (ll, grad, hess)`` for a stack of
+parameter rows: ``_bernoulli_parts`` for the mediator and
+``_proportional_odds_parts`` for the outcome.  The Newton engine calls them
+as they are, and the public log-likelihoods and scores evaluate them on a
+dataset as a stack of one, so a fit's log-likelihood is bitwise the public
+one at its fitted model.  The outcome kernel's derivatives are written in
+density ratios f/pi, so a category probability near underflow never produces
+a NaN.
 
 Both models are fitted in their natural parameters, and standard errors are
 sqrt(diag(inv(-H))) at the optimum.  The outcome thresholds need no
@@ -52,16 +58,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import ConvergenceError, DegenerateDataError, SeparationError
-from .models import (
-    Dataset,
-    MediatorModel,
-    OutcomeModel,
-    _category_probs,
-    _check_dims,
-    _mediator_eta,
-    _parameters,
-)
-from .numerics import expit_pair, log1pexp, log1pexp_expit
+from .models import Dataset, MediatorModel, OutcomeModel, _check_dims, _parameters
+from .numerics import expit_pair, log1pexp_expit
 
 GRADIENT_TOL = 1e-8
 _LOGLIK_RTOL = 1e-12
@@ -128,9 +126,7 @@ class _Stack(NamedTuple):
 
 def loglik_mediator(model: MediatorModel, data: Dataset):
     """Bernoulli log-likelihood of the mediator regression."""
-    _check_dims(model, data)
-    eta = _mediator_eta(model, data.x, data.covariates)
-    return float(np.sum(data.m * eta - log1pexp(eta)))
+    return _mediator_parts(model, data)[0].item()
 
 
 def loglik_outcome(model: OutcomeModel, data: Dataset):
@@ -139,33 +135,34 @@ def loglik_outcome(model: OutcomeModel, data: Dataset):
     A record whose category probability underflows to zero makes the result
     exactly -inf (no exception, no clamping).
     """
-    _check_dims(model, data)
-    probs = _category_probs(model, data.x, data.m, data.covariates)
-    picked = probs[np.arange(data.n), data.y - 1]
-    with np.errstate(divide="ignore"):
-        return float(np.sum(np.log(picked)))
+    return _outcome_parts(model, data)[0].item()
 
 
 def mediator_loglik_gradient(model: MediatorModel, data: Dataset):
     """Score of loglik_mediator with respect to (gamma0, gammaX, gammaC...)."""
-    _check_dims(model, data)
-    _, grad, _, _ = _bernoulli_parts(_parameters(model)[None], _mediator_design(data)[None],
-                                     data.m[None].astype(float))
-    return grad[0]
+    return _mediator_parts(model, data)[1][0]
 
 
 def outcome_loglik_gradient(model: OutcomeModel, data: Dataset):
     """Score of loglik_outcome with respect to (alpha..., betaX, betaM,
     betaXM, betaC...)."""
-    _check_dims(model, data)
-    theta = _parameters(model)[None]
-    K = model.J - 1
-    _, grad, _, ok = _proportional_odds_parts(
-        theta[:, :K], theta[:, K:], _outcome_design(data)[None], data.y[None], data.J
-    )
-    if not ok[0]:
+    ll, grad, _ = _outcome_parts(model, data)
+    if ll[0] == -np.inf:
         raise ValueError("gradient undefined: some record has probability zero")
     return grad[0]
+
+
+def _mediator_parts(model, data):
+    # the mediator kernel at the model's parameters, on data as a stack of one
+    _check_dims(model, data)
+    return _bernoulli_parts(_parameters(model)[None], _mediator_design(data)[None], data.m[None].astype(float))
+
+
+def _outcome_parts(model, data):
+    # the outcome kernel at the model's parameters, on data as a stack of one
+    _check_dims(model, data)
+    y = data.y[None]
+    return _proportional_odds_parts(_parameters(model)[None], _outcome_design(data)[None], _open_ends(y, data.J), y)
 
 
 def fit_mediator(data: Dataset) -> FitResult:
@@ -291,9 +288,8 @@ def _solve_outcomes(stack: _Stack, errors, designs):
     del t  # the outcome kernel sets the memory peak
     beta0 = _least_squares(errors, gram, rhs)[:, 1:]
     alpha0 = logits[:, :K] + (np.vecdot(gram[:, 0, 1:], beta0) / n)[:, None]
-    return _newton_maximize(
-        lambda theta, W, y, ends: _proportional_odds_parts(theta[:, :K], theta[:, K:], W, y, J, ends),
-        np.concatenate([alpha0, beta0], axis=1), (W, stack.y, _open_ends(stack.y, J)), "outcome model", errors)
+    return _newton_maximize(_proportional_odds_parts, np.concatenate([alpha0, beta0], axis=1),
+                            (W, _open_ends(stack.y, J), stack.y), "outcome model", errors)
 
 
 def _fail(errors, mask, error_of):
@@ -333,7 +329,7 @@ def _bernoulli_parts(theta, Z, m):
     ll = (m * eta - log_norm).sum(axis=1)
     grad = (Z.mT @ (m - prob)[:, :, None])[:, :, 0]
     hess = -(_weighted(Z, prob * (1.0 - prob)).mT @ Z)
-    return ll, grad, hess, np.ones(ll.shape, dtype=bool)
+    return ll, grad, hess
 
 
 def _open_ends(y, J):
@@ -349,13 +345,13 @@ def _weighted(X, w):
     return out
 
 
-def _proportional_odds_parts(alpha, beta, W, y, J, open_ends=None):
-    """Log-likelihood, score and Hessian of S proportional-odds problems in
-    the natural (alpha, beta) parameterization: alpha (S, J-1), beta (S, q),
-    W (S, n, q), y (S, n), optionally _open_ends(y, J).  Returns ll (S,),
-    grad (S, d), hess (S, d, d) and the mask of problems whose every category
-    probability is positive; the others get ll = -inf (which the line search
-    treats as a rejection) and zero derivatives.
+def _proportional_odds_parts(theta, W, keep, y):
+    """Log-likelihood, score and Hessian of S proportional-odds problems at
+    their natural parameter rows theta = (alpha_1..alpha_K, beta) (S, K + q),
+    with W (S, n, q), keep = _open_ends(y, K + 1) and y (S, n).  Returns ll
+    (S,), grad (S, d) and hess (S, d, d).  A problem with some category
+    probability <= 0 gets ll = -inf, which the line search treats as a
+    rejection; its derivatives are finite but meaningless.
 
     Record i sits between the thresholds zh = alpha_{y_i} - eta_i above and
     zl = alpha_{y_i - 1} - eta_i below (+-inf at the ends), so every
@@ -364,8 +360,9 @@ def _proportional_odds_parts(alpha, beta, W, y, J, open_ends=None):
     level of each record, offset by J + 1 per problem.
     """
     S, n, q = W.shape
-    K = J - 1
-    keep = _open_ends(y, J) if open_ends is None else open_ends
+    K = theta.shape[1] - q
+    J = K + 1
+    alpha, beta = theta[:, :K], theta[:, K:]
     eta = (W @ beta[:, :, None])[:, :, 0]
     cuts = np.full((2, S, J + 1), np.inf)  # per level 1..J, the threshold above it and below it (+-inf: open)
     cuts[0, :, 1:J] = cuts[1, :, 2:] = alpha
@@ -379,8 +376,7 @@ def _proportional_odds_parts(alpha, beta, W, y, J, open_ends=None):
     pi = bc * a * (-np.expm1(np.negative(z[0] + z[1])))
     del eta, z  # the stacked temporaries set the memory peak
     ok = ~(pi <= 0.0).any(axis=1)
-    if not ok.all():
-        pi[~ok] = 1.0  # keeps the rejected problems' arithmetic finite; their results are overwritten
+    pi[~ok] = 1.0  # keeps the rejected problems' arithmetic finite; their ll is set to -inf below
     ll = np.log(pi).sum(axis=1)
 
     # Densities fa = f(zh), fb = f(zl) of the logistic cdf F (f = F(1-F)),
@@ -420,11 +416,8 @@ def _proportional_odds_parts(alpha, beta, W, y, J, open_ends=None):
     del cross, at_lo
     hess[:, K:, :K] = hess[:, :K, K:].mT
     hess[:, K:, K:] = -(W.mT @ _weighted(W, fa + fb))
-    if not ok.all():
-        ll[~ok] = -np.inf
-        grad[~ok] = 0.0
-        hess[~ok] = 0.0
-    return ll, grad, hess, ok
+    ll[~ok] = -np.inf
+    return ll, grad, hess
 
 
 # ----------------------------------------------------------------------
@@ -448,10 +441,11 @@ def _newton_maximize(fun, theta0, args, what, errors):
     from their rows of theta0, by the loop described in the module docstring,
     and record the error that stops a problem in ``errors``.
 
-    ``fun(theta, *args)`` evaluates the running problems: theta (S', d) and
-    the rows of ``args`` (arrays with a leading problem axis) that belong to
-    them.  Returns the stack's _Fits, which holds the final state of every
-    problem it ran, whether that problem converged or stopped with an error.
+    ``fun(theta, *args)`` is a likelihood kernel: it takes theta (S', d) of
+    the running problems and the rows of ``args`` (arrays with a leading
+    problem axis) that belong to them, and returns their (ll, grad, hess).
+    Returns the stack's _Fits, which holds the final state of every problem
+    it ran, whether that problem converged or stopped with an error.
 
     Arrays hold the rows of the running problems; the accept-or-halve rules
     act on each problem's own Python floats, so they are the scalar rules of
@@ -467,7 +461,7 @@ def _newton_maximize(fun, theta0, args, what, errors):
     if len(ids) < S:
         theta0, *args = (a[ids] for a in (theta0, *args))
     theta = np.array(theta0, dtype=float)
-    ll, grad, hess, _ = fun(theta, *args)
+    ll, grad, hess = fun(theta, *args)
 
     # per running problem: its index in the stack (ids), log-likelihood, max
     # |gradient|, candidates rejected since its last accepted step (its step
@@ -503,7 +497,7 @@ def _newton_maximize(fun, theta0, args, what, errors):
             counts[i][3] += rejected[i] == 0 and not ok
         cand = theta + np.ldexp(1.0, np.negative(rejected))[:, None] * direction
 
-        cll, cgrad, chess, _ = fun(cand, *args)
+        cll, cgrad, chess = fun(cand, *args)
         # max |gradient| and max |theta| of every candidate
         cnorms, cmax = np.abs(np.concatenate([cgrad[None], cand[None]])).max(axis=2).tolist()
         stopped = []

@@ -165,9 +165,11 @@ class Dataset:
     """Validated sample with J outcome levels and p covariates.
 
     Column arrays are the storage (and are frozen read-only).  Construction
-    rejects an m outside {0, 1} and a y that is not an integer column in
-    1..J, naming the first such row; :func:`validate_dataset` checks raw
-    records and lists every bad one.
+    rejects columns that are not numpy arrays of matching shapes, a J or p
+    that is not a whole number, a non-finite x or covariate, an m outside
+    {0, 1} and a y that is not an integer column in 1..J, naming the first
+    such row; :func:`validate_dataset` checks raw records and lists every
+    bad one.
     """
 
     x: np.ndarray
@@ -178,23 +180,30 @@ class Dataset:
     p: int
 
     def __post_init__(self):
-        n = self.x.shape[0]
-        if self.x.ndim != 1 or self.m.shape != (n,) or self.y.shape != (n,):
+        object.__setattr__(self, "J", _whole(self.J, "J", 2))
+        object.__setattr__(self, "p", _whole(self.p, "p", 0))
+        columns = (self.x, self.m, self.y, self.covariates)
+        if not all(isinstance(column, np.ndarray) for column in columns):  # checked before any shape is read
+            raise ValueError("x, m, y and covariates must be numpy arrays")
+        if self.x.ndim != 1 or self.m.shape != self.x.shape or self.y.shape != self.x.shape:
             raise ValueError("x, m, y must be equally long 1-d arrays")
+        n = self.x.shape[0]
         if self.covariates.shape != (n, self.p):
             raise ValueError(f"covariates must have shape ({n}, {self.p})")
         if n == 0:
             raise DataValidationError("dataset is empty")
         # y indexes per-level arrays, so a float column fails even where its values are whole
         integer = np.issubdtype(self.y.dtype, np.integer)
-        for name, column, ok, rule in (("m", self.m, (self.m == 0) | (self.m == 1), "0 or 1"),
-                                       ("y", self.y, integer & (self.y >= 1) & (self.y <= self.J),
-                                        f"integers in 1..{self.J}")):
+        rules = [("x", self.x, np.isfinite(self.x), "finite reals"),
+                 ("m", self.m, (self.m == 0) | (self.m == 1), "0 or 1"),
+                 ("y", self.y, integer & (self.y >= 1) & (self.y <= self.J), f"integers in 1..{self.J}")]
+        rules += [(f"c{k}", c, np.isfinite(c), "finite reals") for k, c in enumerate(self.covariates.T, 1)]
+        for name, column, ok, rule in rules:
             if not ok.all():
                 row = int(np.flatnonzero(~ok)[0])
                 raise DataValidationError(f"column {name} must hold {rule}; row {row} holds {column[row].item()!r}")
-        for arr in (self.x, self.m, self.y, self.covariates):
-            arr.flags.writeable = False
+        for column in columns:
+            column.flags.writeable = False
 
     @property
     def n(self):
@@ -202,8 +211,12 @@ class Dataset:
 
     def subset(self, indices):
         """New Dataset holding rows ``indices`` (repeats allowed, as in a
-        bootstrap resample)."""
-        idx = np.asarray(indices, dtype=np.intp)
+        bootstrap resample).  The indices must be integers: a boolean mask
+        or a float index is refused, not cast."""
+        idx = np.asarray(indices)
+        if idx.size and not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"row indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.intp, copy=False)
         return Dataset(self.x[idx], self.m[idx], self.y[idx], self.covariates[idx], self.J, self.p)
 
 

@@ -243,5 +243,6 @@ def _key_type():
 
 
 def keyed_stream(seed, *key):
-    """The generator of (seed, *key): a stack of one of :func:`keyed_streams`."""
-    return keyed_streams(int(seed), [[int(k) for k in key]])[0]
+    """The generator of (seed, *key): a stack of one of :func:`keyed_streams`,
+    which raises ValueError for any seed or key entry it refuses."""
+    return keyed_streams(seed, [key])[0]

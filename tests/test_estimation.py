@@ -41,6 +41,7 @@ from ordmed.estimation import (
     _fit_pairs,
     _mediator_design,
     _newton_maximize,
+    _open_ends,
     _outcome_design,
     _proportional_odds_parts,
     _Stack,
@@ -105,6 +106,19 @@ class TestLoglik:
                 for xi, mi, ci in zip(data.x, data.m, data.covariates)
             )
             assert loglik_mediator(med, data) == pytest.approx(direct_med, abs=1e-10)
+
+    @pytest.mark.parametrize("design", ["j3", "sparse-j5"])
+    def test_fits_report_the_public_loglik_bitwise(self, design):
+        # one implementation per likelihood: each fit's log-likelihood is the
+        # public function's at the fitted model, bit for bit
+        n, sd_x, mediator, outcome = ((500, 1.5, J3_MEDIATOR, J3_OUTCOME) if design == "j3"
+                                      else (300, 1.3, SPARSE_MEDIATOR, SPARSE_OUTCOME))
+        for seed in range(40):
+            data = simulate_dataset(SimulationDesign(
+                n=n, mean_x=3.0, sd_x=sd_x, mediator=mediator, outcome=outcome, seed=seed,
+            ))
+            for fit, loglik in ((fit_mediator(data), loglik_mediator), (fit_outcome(data), loglik_outcome)):
+                assert fit.loglik.hex() == loglik(fit.model, data).hex()
 
     def test_zero_probability_record_gives_minus_inf(self):
         # alpha gaps so extreme that the middle category underflows to zero
@@ -313,8 +327,13 @@ def _outcome_model(theta, J):
 
 def _parts_of_one(alpha, beta, W, y, J):
     """The stacked kernel on a stack of one problem, unstacked."""
-    ll, grad, hess, _ = _proportional_odds_parts(alpha[None], beta[None], W[None], y[None], J)
+    ll, grad, hess = _stacked_parts(alpha[None], beta[None], W[None], y[None], J)
     return ll[0], grad[0], hess[0]
+
+
+def _stacked_parts(alpha, beta, W, y, J):
+    """The stacked kernel at the parameter rows (alpha, beta)."""
+    return _proportional_odds_parts(np.concatenate([alpha, beta], axis=1), W, _open_ends(y, J), y)
 
 
 def _assert_parts_close(got, ref, rtol):
@@ -378,15 +397,15 @@ class TestKernel:
         # with every level observed, swapping or tying two adjacent
         # thresholds gives the records of the level between them a
         # probability <= 0: that problem, and only that problem, gets
-        # ok = False and ll = -inf, which is what keeps an unconstrained fit
-        # of the thresholds ordered
+        # ll = -inf, which is what keeps an unconstrained fit of the
+        # thresholds ordered
         for J in (3, 4, 5, 6):
             S, n = 12, 40
             cases = [_kernel_case(rng, J, n, p=1) for _ in range(S)]
             alpha, beta, W, y = (np.stack(arrays) for arrays in zip(*cases))
             y[:, :J] = np.arange(1, J + 1)
-            ll, grad, hess, ok = _proportional_odds_parts(alpha, beta, W, y, J)
-            assert ok.all() and np.isfinite(ll).all()
+            ll, grad, hess = _stacked_parts(alpha, beta, W, y, J)
+            assert np.isfinite(ll).all()
 
             broken = np.zeros(S, dtype=bool)
             broken[rng.choice(S, 5, replace=False)] = True
@@ -397,11 +416,10 @@ class TestKernel:
                     bad[s, [j, j + 1]] = bad[s, [j + 1, j]]
                 else:
                     bad[s, j + 1] = bad[s, j]
-            ll2, grad2, hess2, ok2 = _proportional_odds_parts(bad, beta, W, y, J)
-            assert np.array_equal(ok2, ~broken)
+            ll2, grad2, hess2 = _stacked_parts(bad, beta, W, y, J)
             assert np.all(ll2[broken] == -np.inf)
-            assert not grad2[broken].any() and not hess2[broken].any()
             kept = ~broken
+            assert np.isfinite(ll2[kept]).all()
             assert ll2[kept].tobytes() == ll[kept].tobytes()
             assert grad2[kept].tobytes() == grad[kept].tobytes()
             assert hess2[kept].tobytes() == hess[kept].tobytes()
@@ -475,8 +493,6 @@ def _plain_outcome_parts(alpha, beta, W, y, J):
     hess[:, K:, :K] = hess[:, :K, K:].mT
     hess[:, K:, K:] = -(W.mT @ ((fa + fb)[:, :, None] * W))
     ll[~ok] = -np.inf
-    grad[~ok] = 0.0
-    hess[~ok] = 0.0
     return ll, grad, hess, ok
 
 
@@ -485,7 +501,7 @@ def _plain_bernoulli_parts(theta, Z, m):
     eta = (Z @ theta[:, :, None])[:, :, 0]
     prob, _, log_norm = _where_maps(eta)
     hess = -((Z * (prob * (1.0 - prob))[:, :, None]).mT @ Z)
-    return (m * eta - log_norm).sum(axis=1), (Z.mT @ (m - prob)[:, :, None])[:, :, 0], hess, np.ones(len(m), bool)
+    return (m * eta - log_norm).sum(axis=1), (Z.mT @ (m - prob)[:, :, None])[:, :, 0], hess
 
 
 def _simulated_kernel_stack(rng, mediator, outcome, S, n):
@@ -538,8 +554,8 @@ class TestKernelsBitwise:
         theta, W, y, J = outcome
         K = J - 1
         ref = _plain_outcome_parts(theta[:, :K], theta[:, K:], W, y, J)
-        got = _proportional_odds_parts(theta[:, :K], theta[:, K:], W, y, J)
-        assert [r.tobytes() for r in got] == [r.tobytes() for r in ref]
+        got = _proportional_odds_parts(theta, W, _open_ends(y, J), y)
+        assert [r.tobytes() for r in got] == [r.tobytes() for r in ref[:3]]
         assert ref[3].sum() == len(y) - (case == "saturated")
         if case == "saturated":
             assert np.abs(W[:, :, 0]).max() > 745.0 and np.bincount(y[1], minlength=6)[3:5].sum() == 0
@@ -595,8 +611,7 @@ class TestEvaluationCounts:
 
         def log_cosh(theta):
             t = theta[:, 0]
-            return (-np.log(np.cosh(t)), -np.tanh(t)[:, None], (-1.0 / np.cosh(t) ** 2)[:, None, None],
-                    np.ones(t.size, dtype=bool))
+            return -np.log(np.cosh(t)), -np.tanh(t)[:, None], (-1.0 / np.cosh(t) ** 2)[:, None, None]
 
         fits = _converged(log_cosh, np.array([[1.5]]))
         (_, gnorm, overshoot), = _outcomes(fits)
@@ -613,7 +628,7 @@ class TestEvaluationCounts:
         def fun(theta):
             t = theta[:, 0]
             hess = (-2.0 * (1.0 - t * t) / (1.0 + t * t) ** 2)[:, None, None]
-            return -np.log1p(t * t), (-2.0 * t / (1.0 + t * t))[:, None], hess, np.ones(t.size, dtype=bool)
+            return -np.log1p(t * t), (-2.0 * t / (1.0 + t * t))[:, None], hess
 
         fits = _converged(fun, np.array([[2.0], [0.5]]))
         far, near = _outcomes(fits)
@@ -631,7 +646,7 @@ def _quadratic(theta, w):
     hess = np.zeros((w.size, 2, 2))
     hess[:, 0, 0] = -2.0
     hess[:, 1, 1] = -2.0 * w
-    return -(t * t) - w * u * u, np.stack([-2.0 * t, -2.0 * w * u], axis=1), hess, np.ones(w.size, dtype=bool)
+    return -(t * t) - w * u * u, np.stack([-2.0 * t, -2.0 * w * u], axis=1), hess
 
 
 def _maximize(fun, theta0, *args, errors=None):
@@ -710,7 +725,7 @@ class TestEngineExits:
             grad = np.where(kind == 0, -np.tanh(t), np.where(kind == 1, -2.0 * t / (1.0 + t * t), -2.0 * (t - 1.0)))
             hess = np.where(kind == 0, -1.0 / np.cosh(t) ** 2,
                             np.where(kind == 1, -2.0 * (1.0 - t * t) / (1.0 + t * t) ** 2, -2.0))
-            return ll, grad[:, None], hess[:, None, None], np.ones(t.size, dtype=bool)
+            return ll, grad[:, None], hess[:, None, None]
 
         theta0 = np.array([[1.5], [2.0], [1.5], [0.0], [1.0]])
         kind = np.array([0, 1, 1, 2, 2])
@@ -729,8 +744,8 @@ class TestEngineExits:
 
     def test_non_finite_start_fails_only_its_problem(self):
         def fun(theta, w):
-            ll, grad, hess, ok = _quadratic(theta, np.ones_like(w))
-            return np.where(w > 0, ll, -np.inf), grad, hess, ok
+            ll, grad, hess = _quadratic(theta, np.ones_like(w))
+            return np.where(w > 0, ll, -np.inf), grad, hess
 
         calls = []
         fits, (bad, no_error) = _maximize(_counted(fun, calls), np.zeros((2, 2)), np.array([0.0, 1.0]))
@@ -777,7 +792,7 @@ class TestEngineExits:
         # sends every step down the damped gradient
         def fun(theta):
             S = theta.shape[0]
-            return theta[:, 0].copy(), np.ones((S, 1)), np.ones((S, 1, 1)), np.ones(S, dtype=bool)
+            return theta[:, 0].copy(), np.ones((S, 1)), np.ones((S, 1, 1))
 
         calls = []
         _, (outcome,) = _maximize(_counted(fun, calls), np.zeros((1, 1)))
@@ -790,7 +805,7 @@ class TestEngineExits:
         # is accepted, and the fit ends where it started
         def fun(theta):
             S = theta.shape[0]
-            return np.zeros(S), np.ones((S, 1)), -np.ones((S, 1, 1)), np.ones(S, dtype=bool)
+            return np.zeros(S), np.ones((S, 1)), -np.ones((S, 1, 1))
 
         calls = []
         fits = _converged(_counted(fun, calls), np.zeros((1, 1)))

@@ -21,6 +21,7 @@ from ordmed import (
     OutcomeModel,
     category_probabilities,
     cumulative_probability,
+    fit_outcome,
     mediator_probability,
     validate_dataset,
 )
@@ -228,6 +229,45 @@ class TestDatasetConstruction:
         with pytest.raises(DataValidationError, match=re.escape(reason)):
             Dataset(*columns, 2, 0)
 
+    @pytest.mark.parametrize("column, value, message", [
+        (0, np.array(0.5), "equally long 1-d arrays"),  # 0-d x
+        (0, [0.0, 0.5, 1.0], "must be numpy arrays"),  # a list x
+        (3, [[], [], []], "must be numpy arrays"),  # list covariates
+    ])
+    def test_columns_are_arrays_of_checked_shape(self, column, value, message):
+        # shapes are checked before they are indexed: no IndexError or AttributeError
+        columns = list(self.columns())
+        columns[column] = value
+        with pytest.raises(ValueError, match=message):
+            Dataset(*columns, 2, 0)
+
+    @pytest.mark.parametrize("x, covariate, reason", [
+        ([0.0, np.nan, 1.0], [0.0, 0.0, 0.0], "column x must hold finite reals; row 1 holds nan"),
+        ([0.0, 0.5, np.inf], [0.0, 0.0, 0.0], "column x must hold finite reals; row 2 holds inf"),
+        ([0.0, 0.5, 1.0], [0.0, -np.inf, np.nan], "column c2 must hold finite reals; row 1 holds -inf"),
+    ])
+    def test_exposure_and_covariates_must_be_finite(self, x, covariate, reason):
+        # a non-finite x or covariate once reached the fits' SVD (LinAlgError)
+        # or gave a rank-deficient design with BLAS errors on stderr
+        _, m, y, _ = self.columns()
+        covariates = np.column_stack([np.zeros(3), covariate])
+        with pytest.raises(DataValidationError, match=re.escape(reason)):
+            Dataset(np.array(x), m, y, covariates, 2, 2)
+
+    @pytest.mark.parametrize("J, p", [(2.5, 0), (1, 0), ("3", 0), (2, 0.5), (2, -1)])
+    def test_levels_and_covariate_count_are_whole_numbers(self, J, p):
+        x, m, y, _ = self.columns()
+        with pytest.raises(ModelSpecError, match="must be a whole number"):
+            Dataset(x, m, y, np.zeros((3, 0)), J, p)
+
+    def test_whole_float_levels_become_ints(self):
+        # J = 3.0 once reached fit_outcome as a float and failed in a bincount cast
+        x, m, _, _ = self.columns()
+        data = Dataset(x, m, np.array([1, 2, 3]), np.zeros((3, 0)), 3.0, 0.0)
+        assert (type(data.J), type(data.p)) == (int, int) and (data.J, data.p) == (3, 0)
+        fit_outcome(Dataset(np.linspace(0.0, 1.0, 30), np.arange(30) % 2, np.arange(30) % 3 + 1,
+                            np.zeros((30, 0)), 3.0, 0))
+
     def test_no_rows(self):
         with pytest.raises(DataValidationError, match="dataset is empty"):
             Dataset(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.zeros((0, 0)), 2, 0)
@@ -377,3 +417,16 @@ class TestValidateDataset:
         sub = data.subset([1, 1, 0])
         assert sub.n == 3
         assert list(sub.y) == [2, 2, 1]
+
+    @pytest.mark.parametrize("indices", [[True, False, True], np.array([True, False]), [0.7, 1.2], [0.0, 1.0]])
+    def test_subset_takes_integer_row_indices_only(self, indices):
+        # a mask or a float index was cast to row numbers: [True, False, True]
+        # gave rows 1, 0, 1 and [0.7, 1.2] gave rows 0, 1
+        data = validate_dataset([(0.1, 0, 1), (0.2, 1, 2)], J=2)
+        with pytest.raises(ValueError, match="row indices must be integers"):
+            data.subset(indices)
+
+    def test_subset_of_no_rows_is_empty(self):
+        data = validate_dataset([(0.1, 0, 1), (0.2, 1, 2)], J=2)
+        with pytest.raises(DataValidationError, match="dataset is empty"):
+            data.subset([])

@@ -190,3 +190,14 @@ class TestStreamKeys:
     def test_values_outside_the_ranges_raise(self, seeds, keys):
         with pytest.raises(ValueError, match="must be whole numbers in"):
             stream_keys(seeds, keys)
+
+    @pytest.mark.parametrize("seed, key", [
+        (1.7, (2, 3)), (1, (2.9, 3)), (1.0, (2, 3)), (1, (2, 3.0)), (True, (2, 3)), (1, (True,)), (1, (False, True)),
+    ])
+    def test_keyed_stream_refuses_what_stream_keys_refuses(self, seed, key):
+        # int() casts once made keyed_stream(1.7, 2, 3) seed 1's stream and
+        # keyed_stream(1, 2.9, 3) key (2, 3)'s: never a different stream
+        with pytest.raises(ValueError, match="must be whole numbers in"):
+            stream_keys(seed, [key])
+        with pytest.raises(ValueError, match="must be whole numbers in"):
+            keyed_stream(seed, *key)
