@@ -92,13 +92,14 @@ def run(argv=None):
     Before ``main``, ``_keep_freed_heap`` raises glibc's malloc trim
     threshold to 64 MiB and fixes its mmap threshold at 4 MiB. By default
     glibc hands freed memory at the top of the heap back to the kernel, so
-    every likelihood-kernel call of a resampling run faults its temporaries
-    in afresh: a J=3, n=500, 200-replicate ``mc-study`` takes about 30k
-    minor page faults that way and about 5.6k with the freed heap kept.
-    Both thresholds are set because setting either one turns off glibc's
-    dynamic mmap threshold; with the trim threshold alone an n=2000
-    ``analyze`` with B=200 takes 176k faults instead of 110k. Off glibc the
-    step does nothing.
+    the next allocation faults its pages in afresh. The Newton runs keep
+    their kernels' temporaries in one workspace each, so a J=3, n=500,
+    200-replicate ``mc-study`` takes about 8.1k minor page faults that way
+    and about 5.9k with the freed heap kept, and an n=2000 ``analyze`` with
+    B=200 13.4k and 5.6k. Both thresholds are set because setting either
+    one turns off glibc's dynamic mmap threshold; with the trim threshold
+    alone that ``analyze`` takes 15.9k faults. Off glibc the step does
+    nothing.
 
     After ``main``, ``gc.freeze()`` moves every live object into the
     permanent generation, which the interpreter's collections at exit never

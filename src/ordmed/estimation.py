@@ -32,14 +32,17 @@ on A = (1, x, m, x*m, c), alpha_j = logit F_j + mean(x, m, x*m, c) beta.  One
 SVD of A decides both rank checks; (1, x, c) gets one only where A is deficient.
 
 Each likelihood has one implementation, an array-valued kernel over all
-records, ``kernel(theta, *arrays) -> (ll, grad, hess)`` for a stack of
+records, ``kernel(theta, *arrays, work) -> (ll, grad, hess)`` for a stack of
 parameter rows: ``_bernoulli_parts`` for the mediator and
 ``_proportional_odds_parts`` for the outcome.  The Newton engine calls them
 as they are, and the public log-likelihoods and scores evaluate them on a
 dataset as a stack of one, so a fit's log-likelihood is bitwise the public
-one at its fitted model.  The outcome kernel's derivatives are written in
-density ratios f/pi, so a category probability near underflow never produces
-a NaN.
+one at its fitted model.  The engine makes one ``_workspace`` of (S, n)
+slots per run, and a kernel writes each record-sized temporary into the
+first S' rows of a slot, with the operations and operand order of a fresh
+allocation: the bits are the same, and no round allocates them afresh.  The
+outcome kernel's derivatives are written in density ratios f/pi, so a
+category probability near underflow never produces a NaN.
 
 Both models are fitted in their natural parameters, and standard errors are
 sqrt(diag(inv(-H))) at the optimum.  The outcome thresholds need no
@@ -155,14 +158,16 @@ def outcome_loglik_gradient(model: OutcomeModel, data: Dataset):
 def _mediator_parts(model, data):
     # the mediator kernel at the model's parameters, on data as a stack of one
     _check_dims(model, data)
-    return _bernoulli_parts(_parameters(model)[None], _mediator_design(data)[None], data.m[None].astype(float))
+    return _bernoulli_parts(_parameters(model)[None], _mediator_design(data)[None], data.m[None].astype(float),
+                            _workspace(1, data.n, 0, data.p + 2))
 
 
 def _outcome_parts(model, data):
     # the outcome kernel at the model's parameters, on data as a stack of one
     _check_dims(model, data)
-    y = data.y[None]
-    return _proportional_odds_parts(_parameters(model)[None], _outcome_design(data)[None], _open_ends(y, data.J), y)
+    W, y = _outcome_design(data)[None], data.y[None]
+    return _proportional_odds_parts(_parameters(model)[None], W, _open_ends(y, data.J), y,
+                                    _workspace(1, data.n, data.J, W.shape[2]))
 
 
 def fit_mediator(data: Dataset) -> FitResult:
@@ -204,7 +209,8 @@ def _fit_pairs(stack: _Stack):
     gamma = _solve_mediators(stack, errors, designs).theta
     beta = _solve_outcomes(stack, errors, designs).theta
     ok = [error is None for error in errors]
-    return gamma[ok], beta[ok], errors
+    K = stack.J - 1  # the rows of a J > n stack, whose record is zero-width, are (0, K + q)
+    return gamma[ok], beta[ok].reshape(-1, K + designs[0].shape[2]), errors
 
 
 def _fit_mediators(stack: _Stack):
@@ -254,17 +260,18 @@ def _solve_mediators(stack: _Stack, errors, designs):
     cols = np.r_[0, 1, 4:gram.shape[2]]  # the (1, x, c) block of A's Gram matrix is Z's
     z = (2.0 * stack.m - 1.0) * (math.log(3.0) + 4.0 / 3.0)  # glm's working response at mu = (m + 1/2)/2
     theta0 = _least_squares(errors, gram[:, cols[:, None], cols], (Z.mT @ z[:, :, None])[:, :, 0])
-    return _newton_maximize(_bernoulli_parts, theta0, (Z, stack.m.astype(float)), "mediator model", errors)
+    return _newton_maximize(_bernoulli_parts, theta0, (Z, stack.m.astype(float)), (Z.shape[1], 0, Z.shape[2]),
+                            "mediator model", errors)
 
 
 def _solve_outcomes(stack: _Stack, errors, designs):
     S, n = stack.y.shape
     J, K = stack.J, stack.J - 1
     W, gram, deficient = designs
-    if J > n:  # some level is never observed: fail before counting J cells per problem
+    if J > n:  # some level is never observed: fail before sizing anything by J
         error = DegenerateDataError(f"{J} outcome levels but only {n} records; every level must appear at least once")
         _fail(errors, np.ones(S, dtype=bool), lambda s: error)
-        return _newton_maximize(None, np.broadcast_to(0.0, (S, K + W.shape[2])), (), "outcome model", errors)
+        return _Fits(np.zeros((S, 0)), np.zeros((S, 0, 0)), np.zeros(S), np.zeros(S), np.zeros((S, 4), np.int64))
     counts = np.bincount(
         (stack.y + np.arange(0, S * (J + 1), J + 1)[:, None]).ravel(), minlength=S * (J + 1)
     ).reshape(S, J + 1)[:, 1:]
@@ -289,7 +296,7 @@ def _solve_outcomes(stack: _Stack, errors, designs):
     beta0 = _least_squares(errors, gram, rhs)[:, 1:]
     alpha0 = logits[:, :K] + (np.vecdot(gram[:, 0, 1:], beta0) / n)[:, None]
     return _newton_maximize(_proportional_odds_parts, np.concatenate([alpha0, beta0], axis=1),
-                            (W, _open_ends(stack.y, J), stack.y), "outcome model", errors)
+                            (W, _open_ends(stack.y, J), stack.y), (n, J, W.shape[2]), "outcome model", errors)
 
 
 def _fail(errors, mask, error_of):
@@ -321,14 +328,24 @@ def _outcome_design(data):
     return np.concatenate([x[..., None], m[..., None], (x * m)[..., None], data.covariates], axis=-1)
 
 
-def _bernoulli_parts(theta, Z, m):
+def _workspace(S, n, J, q):
+    # a kernel's float slots of (S, n), slot-major, and an intp slot, for J levels (0: the mediator's) and q columns
+    slots = max(8, J + 3, q + 3) if J else max(5, q + 1)
+    return np.empty((slots, S, n)), np.empty((S, n), dtype=np.intp)
+
+
+def _bernoulli_parts(theta, Z, m, work):
     # log-likelihood, score and Hessian of S logistic regressions:
-    # theta (S, q), Z (S, n, q), m (S, n)
-    eta = (Z @ theta[:, :, None])[:, :, 0]
-    log_norm, prob = log1pexp_expit(eta)
-    ll = (m * eta - log_norm).sum(axis=1)
-    grad = (Z.mT @ (m - prob)[:, :, None])[:, :, 0]
-    hess = -(_weighted(Z, prob * (1.0 - prob)).mT @ Z)
+    # theta (S, q), Z (S, n, q), m (S, n), work = _workspace(S0 >= S, n, 0, q); slots 0-3 hold
+    # log1pexp_expit's pair and scratch, slot 4 eta, and slots 1.. the weighted Z
+    S, n, _ = Z.shape
+    log_norm, prob, t, _, eta = work[0][:5, :S]
+    np.matmul(Z, theta[:, :, None], out=eta.reshape(S, n, 1))
+    log1pexp_expit(eta, work[0][:4, :S])
+    ll = np.subtract(np.multiply(m, eta, out=t), log_norm, out=t).sum(axis=1)
+    grad = (Z.mT @ np.subtract(m, prob, out=t)[:, :, None])[:, :, 0]
+    w = np.multiply(prob, np.subtract(1.0, prob, out=log_norm), out=log_norm)
+    hess = -(_weighted(Z, w, work[0][1:].reshape(-1)).mT @ Z)
     return ll, grad, hess
 
 
@@ -337,21 +354,25 @@ def _open_ends(y, J):
     return np.stack([y != J, y != 1], axis=1).astype(float)
 
 
-def _weighted(X, w):
-    # w[:, :, None] * X one column at a time, several times faster than a broadcast over the short last axis
-    out = np.empty_like(X)
+def _weighted(X, w, memory):
+    # w[:, :, None] * X one column at a time (faster than a broadcast), into memory laid out as np.empty_like(X)
+    out = memory[:X.size].reshape(X.shape)
+    if not X.flags.c_contiguous:
+        axes = sorted(range(3), key=lambda k: -abs(X.strides[k]))  # by falling stride
+        out = memory[:X.size].reshape([X.shape[k] for k in axes]).transpose(np.argsort(axes))
     for k in range(X.shape[2]):
         np.multiply(w, X[:, :, k], out=out[:, :, k])
     return out
 
 
-def _proportional_odds_parts(theta, W, keep, y):
+def _proportional_odds_parts(theta, W, keep, y, work):
     """Log-likelihood, score and Hessian of S proportional-odds problems at
     their natural parameter rows theta = (alpha_1..alpha_K, beta) (S, K + q),
-    with W (S, n, q), keep = _open_ends(y, K + 1) and y (S, n).  Returns ll
-    (S,), grad (S, d) and hess (S, d, d).  A problem with some category
-    probability <= 0 gets ll = -inf, which the line search treats as a
-    rejection; its derivatives are finite but meaningless.
+    with W (S, n, q), keep = _open_ends(y, K + 1), y (S, n) and work =
+    _workspace(S0, n, K + 1, q) for some S0 >= S.
+    Returns ll (S,), grad (S, d) and hess (S, d, d).  A problem with some
+    category probability <= 0 gets ll = -inf, which the line search treats
+    as a rejection; its derivatives are finite but meaningless.
 
     Record i sits between the thresholds zh = alpha_{y_i} - eta_i above and
     zl = alpha_{y_i - 1} - eta_i below (+-inf at the ends), so every
@@ -363,21 +384,22 @@ def _proportional_odds_parts(theta, W, keep, y):
     K = theta.shape[1] - q
     J = K + 1
     alpha, beta = theta[:, :K], theta[:, K:]
-    eta = (W @ beta[:, :, None])[:, :, 0]
+    slots, hi = work[0][:8, :S], work[1][:S]  # zh, -zl, then fa, fb in 0-1; cross block, weight, weighted W: 2 on
+    z, eta, (t, pi) = slots[:2], slots[2], slots[6:]  # z: zh and -zl, both +inf at the open ends
+    np.matmul(W, beta[:, :, None], out=eta.reshape(S, n, 1))
     cuts = np.full((2, S, J + 1), np.inf)  # per level 1..J, the threshold above it and below it (+-inf: open)
     cuts[0, :, 1:J] = cuts[1, :, 2:] = alpha
     cuts[1, :, 1] = -np.inf
-    hi = y + np.arange(0, S * (J + 1), J + 1)[:, None]  # each record's level in cuts[0].ravel() and cuts[1].ravel()
-    z = np.empty((2, S, n))  # zh and -zl, both +inf at the open ends
-    np.subtract(cuts[0].ravel()[hi], eta, out=z[0])
-    np.subtract(eta, cuts[1].ravel()[hi], out=z[1])
-    (a, bc), (ac, b) = expit_pair(z, keep.swapaxes(0, 1))
+    np.add(y, np.arange(0, S * (J + 1), J + 1)[:, None], out=hi)  # each record's level in cuts[i].ravel()
+    np.subtract(cuts[0].ravel().take(hi, out=z[0], mode="clip"), eta, out=z[0])
+    np.subtract(eta, cuts[1].ravel().take(hi, out=z[1], mode="clip"), out=z[1])
+    (a, bc), (ac, b) = expit_pair(z, keep.swapaxes(0, 1), slots[2:].reshape(3, 2, S, n))
     # F(zh) - F(zl) in cancellation-free product form; zl - zh = -(zh + -zl)
-    pi = bc * a * (-np.expm1(np.negative(z[0] + z[1])))
-    del eta, z  # the stacked temporaries set the memory peak
+    np.negative(np.expm1(np.negative(np.add(z[0], z[1], out=t), out=t), out=t), out=t)
+    np.multiply(np.multiply(bc, a, out=pi), t, out=pi)
     ok = ~(pi <= 0.0).any(axis=1)
     pi[~ok] = 1.0  # keeps the rejected problems' arithmetic finite; their ll is set to -inf below
-    ll = np.log(pi).sum(axis=1)
+    ll = np.log(pi, out=t).sum(axis=1)
 
     # Densities fa = f(zh), fb = f(zl) of the logistic cdf F (f = F(1-F)),
     # and the ratios ra = fa/pi, rb = fb/pi, s = F(zl)(1-F(zh))/pi.  With
@@ -388,34 +410,34 @@ def _proportional_odds_parts(theta, W, keep, y):
     #   d2/dalpha_hi2 = -ra (F(zh) + s),  d2/dalpha_lo2 = -rb (1 - F(zl) + s),
     #   d2/dalpha_hi dalpha_lo = ra rb,  d2/dalpha_hi deta = fa,
     #   d2/dalpha_lo deta = fb,  d2/deta2 = -(fa + fb).
-    fa, fb = a * ac, b * bc
-    ra, rb, s = fa / pi, fb / pi, b * ac / pi
+    fa, fb = np.multiply(a, ac, out=z[0]), np.multiply(b, bc, out=z[1])
+    s = np.divide(np.multiply(b, ac, out=t), pi, out=t)
+    grad = np.empty((S, K + q))
+    grad[:, K:] = (W.mT @ np.subtract(b, ac, out=b)[:, :, None])[:, :, 0]
+    ra, rb = np.divide(fa, pi, out=ac), np.divide(fb, pi, out=b)
 
     def per_level(w):
         # per problem, sums of w over the records of levels 1..J: alpha_j is above level j and below j + 1
         return np.bincount(hi.ravel(), weights=w.ravel(), minlength=S * (J + 1)).reshape(S, J + 1)[:, 1:]
 
-    # Blocks in an order that frees each stacked temporary once it is used.  The diagonal negates
-    # K-column sums (rounding is sign-symmetric; 0.0 - x keeps an empty sum +0), not record terms.
-    grad = np.empty((S, K + q))
+    # The diagonal negates K-column sums (rounding is sign-symmetric; 0.0 - x keeps an empty sum +0), not records.
     grad[:, :K] = per_level(ra)[:, :K] - per_level(rb)[:, 1:]
-    grad[:, K:] = (W.mT @ (b - ac)[:, :, None])[:, :, 0]
     hess = np.zeros((S, K + q, K + q))
     thresholds = np.arange(K)
-    hess[:, thresholds, thresholds] = 0.0 - (per_level(ra * (a + s))[:, :K] + per_level(rb * (bc + s))[:, 1:])
-    off = per_level(ra * rb)[:, 1:K]  # (alpha_{j-1}, alpha_j), j = 2..K
+    hess[:, thresholds, thresholds] = 0.0 - (per_level(np.multiply(ra, np.add(a, s, out=a), out=a))[:, :K]
+                                             + per_level(np.multiply(rb, np.add(bc, s, out=bc), out=bc))[:, 1:])
+    off = per_level(np.multiply(ra, rb, out=a))[:, 1:K]  # (alpha_{j-1}, alpha_j), j = 2..K
     hess[:, thresholds[:-1], thresholds[1:]] = hess[:, thresholds[1:], thresholds[:-1]] = off
-    del a, b, ac, bc, pi, ra, rb, s, hi
 
     # cross derivatives of each record in the columns of its two thresholds
-    cross = np.zeros(S * n * (J + 1))
-    at_lo = np.arange(-1, S * n * (J + 1) - 1, J + 1) + y.ravel()
+    cross = work[0][2:].reshape(-1)[:S * n * (J + 1)]
+    cross.fill(0.0)
+    at_lo = np.add(np.arange(-1, S * n * (J + 1) - 1, J + 1), y.ravel(), out=hi.reshape(-1))
     cross[at_lo] = fb.ravel()
     cross[1:][at_lo] = fa.ravel()
     hess[:, :K, K:] = cross.reshape(S, n, J + 1)[:, :, 1:J].mT @ W
-    del cross, at_lo
     hess[:, K:, :K] = hess[:, :K, K:].mT
-    hess[:, K:, K:] = -(W.mT @ _weighted(W, fa + fb))
+    hess[:, K:, K:] = -(W.mT @ _weighted(W, np.add(fa, fb, out=work[0][2, :S]), work[0][3:].reshape(-1)))
     ll[~ok] = -np.inf
     return ll, grad, hess
 
@@ -436,20 +458,23 @@ class _Fits(NamedTuple):
     counts: np.ndarray  # (S, 4)
 
 
-def _newton_maximize(fun, theta0, args, what, errors):
+def _newton_maximize(fun, theta0, args, work_shape, what, errors):
     """Maximize the problems of a stack that have no error in ``errors`` yet,
     from their rows of theta0, by the loop described in the module docstring,
     and record the error that stops a problem in ``errors``.
 
-    ``fun(theta, *args)`` is a likelihood kernel: it takes theta (S', d) of
-    the running problems and the rows of ``args`` (arrays with a leading
-    problem axis) that belong to them, and returns their (ll, grad, hess).
-    Returns the stack's _Fits, which holds the final state of every problem
-    it ran, whether that problem converged or stopped with an error.
+    ``fun(theta, *args, work)`` is a likelihood kernel: it takes theta (S', d)
+    of the running problems, the rows of ``args`` (arrays with a leading
+    problem axis) that belong to them and ``work = _workspace(S0,
+    *work_shape)``, made once for the S0 problems running at entry, and
+    returns their (ll, grad, hess).  Returns the stack's _Fits, which holds
+    the final state of every problem it ran, whether that problem converged
+    or stopped with an error.
 
-    Arrays hold the rows of the running problems; the accept-or-halve rules
-    act on each problem's own Python floats, so they are the scalar rules of
-    a single fit whatever the stack size.
+    Arrays hold the rows of the running problems; when problems stop, the
+    others' rows move forward in arrays allocated at entry, not the caller's.
+    The accept-or-halve rules act on each problem's own Python floats, so
+    they are the scalar rules of a single fit whatever the stack size.
     """
     ids = [s for s, error in enumerate(errors) if error is None]
     S, d = theta0.shape
@@ -461,7 +486,9 @@ def _newton_maximize(fun, theta0, args, what, errors):
     if len(ids) < S:
         theta0, *args = (a[ids] for a in (theta0, *args))
     theta = np.array(theta0, dtype=float)
-    ll, grad, hess = fun(theta, *args)
+    work = _workspace(len(ids), *work_shape)
+    compacted = [np.empty_like(a) for a in args] if len(ids) > 1 else ()  # one problem returns when it stops
+    ll, grad, hess = fun(theta, *args, work)
 
     # per running problem: its index in the stack (ids), log-likelihood, max
     # |gradient|, candidates rejected since its last accepted step (its step
@@ -487,7 +514,10 @@ def _newton_maximize(fun, theta0, args, what, errors):
             if not keep:
                 return fits
             theta, grad, hess = theta[keep], grad[keep], hess[keep]
-            args = tuple(a[keep] for a in args)
+            for a, rows in zip(args, compacted):  # forward: a row moves only into a row already read
+                for j, i in enumerate(keep):
+                    rows[j] = a[i]
+            args = [rows[:len(keep)] for rows in compacted]
             ids, lls, gnorms, rejected, counts = ([v[i] for i in keep] for v in (ids, lls, gnorms, rejected, counts))
 
         # the search directions; after a rejected candidate a problem's
@@ -497,7 +527,7 @@ def _newton_maximize(fun, theta0, args, what, errors):
             counts[i][3] += rejected[i] == 0 and not ok
         cand = theta + np.ldexp(1.0, np.negative(rejected))[:, None] * direction
 
-        cll, cgrad, chess = fun(cand, *args)
+        cll, cgrad, chess = fun(cand, *args, work)
         # max |gradient| and max |theta| of every candidate
         cnorms, cmax = np.abs(np.concatenate([cgrad[None], cand[None]])).max(axis=2).tolist()
         stopped = []

@@ -31,14 +31,20 @@ def expit(z):
     return float(out) if out.ndim == 0 else out
 
 
-def expit_pair(z, keep=1.0):
+def expit_pair(z, keep=1.0, out=None):
     """(expit(z), expit(-z)) for an array z.  ``keep``, 1.0 or an array of
     1.0 and 0.0 that broadcasts against z, may be 0.0 where z is +inf: down
-    is then exp(-0.0) * 0, the same 0, without exp's slow path at -inf."""
-    e = _exps(z, np.multiply(keep, -np.finfo(float).max))
+    is then exp(-0.0) * 0, the same 0, without exp's slow path at -inf.
+    ``out``, a float array of shape (3,) + z.shape, receives the pair in
+    out[0] and out[1] and is scratch in out[2]; by default it is allocated."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty((3,) + z.shape) if out is None else out
+    e = out[:2]
+    np.multiply(keep, -np.finfo(float).max, out=e[0, ...])  # down's floor, until up overwrites it
+    _exps(z, e[0, ...], e)
     e[1, ...] *= keep
-    e /= e[0] + e[1]
-    return e[0], e[1]
+    e /= np.add(e[0], e[1], out=out[2, ...])
+    return e[0, ...], e[1, ...]
 
 
 def log1pexp(z):
@@ -47,20 +53,29 @@ def log1pexp(z):
     return float(out) if out.ndim == 0 else out
 
 
-def log1pexp_expit(z):
-    """(log1pexp(z), expit(z)) for an array z; exp(-|z|) is min(up, down)."""
-    up, down = _exps(z)
-    return np.maximum(z, 0.0) + np.log1p(np.minimum(up, down)), up / (up + down)
-
-
-def _exps(z, floor=None):
-    # up and down stacked on a new first axis, down's argument at least floor
+def log1pexp_expit(z, out=None):
+    """(log1pexp(z), expit(z)) for an array z; exp(-|z|) is min(up, down).
+    ``out``, a float array of shape (4,) + z.shape, receives the pair in
+    out[0] and out[1] and is scratch in out[2:]; by default it is allocated."""
     z = np.asarray(z, dtype=float)
-    e = np.empty((2,) + z.shape)
-    np.minimum(z, 0.0, out=e[0, ...])
-    np.minimum(np.negative(z, out=e[1, ...]), 0.0, out=e[1, ...])
+    out = np.empty((4,) + z.shape) if out is None else out
+    up, down = _exps(z, None, out[2:])
+    log_norm, prob = out[0, ...], out[1, ...]
+    np.log1p(np.minimum(up, down, out=prob), out=prob)
+    np.add(np.maximum(z, 0.0, out=log_norm), prob, out=log_norm)
+    np.divide(up, np.add(up, down, out=prob), out=prob)
+    return log_norm, prob
+
+
+def _exps(z, floor=None, out=None):
+    # up and down stacked on the first axis of out (by default a new one),
+    # down's argument at least floor; down comes first, so floor may be out[0]
+    z = np.asarray(z, dtype=float)
+    e = np.empty((2,) + z.shape) if out is None else out
+    down = np.minimum(np.negative(z, out=e[1, ...]), 0.0, out=e[1, ...])
     if floor is not None:
-        np.maximum(e[1, ...], floor, out=e[1, ...])
+        np.maximum(down, floor, out=down)
+    np.minimum(z, 0.0, out=e[0, ...])
     return np.exp(e, out=e)
 
 

@@ -4,6 +4,7 @@ a per-category reference and an mpmath oracle, evaluation-count guards, and
 failure diagnostics."""
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -46,6 +47,7 @@ from ordmed.estimation import (
     _proportional_odds_parts,
     _Stack,
     _standard_errors,
+    _workspace,
 )
 from ordmed.inference import _BOOTSTRAP_DOMAIN
 from ordmed.numerics import expit, keyed_stream
@@ -333,7 +335,21 @@ def _parts_of_one(alpha, beta, W, y, J):
 
 def _stacked_parts(alpha, beta, W, y, J):
     """The stacked kernel at the parameter rows (alpha, beta)."""
-    return _proportional_odds_parts(np.concatenate([alpha, beta], axis=1), W, _open_ends(y, J), y)
+    return _outcome_kernel(np.concatenate([alpha, beta], axis=1), W, y, J)
+
+
+def _outcome_kernel(theta, W, y, J, work=None):
+    """The outcome kernel at the parameter rows theta, in ``work`` or a
+    fresh workspace."""
+    work = _workspace(*y.shape, J, W.shape[2]) if work is None else work
+    return _proportional_odds_parts(theta, W, _open_ends(y, J), y, work)
+
+
+def _mediator_kernel(theta, Z, m, work=None):
+    """The mediator kernel at the parameter rows theta, in ``work`` or a
+    fresh workspace."""
+    work = _workspace(*m.shape, 0, Z.shape[2]) if work is None else work
+    return _bernoulli_parts(theta, Z, m, work)
 
 
 def _assert_parts_close(got, ref, rtol):
@@ -543,25 +559,46 @@ class TestKernelsBitwise:
     J=3 stack of 24 x 500 and a sparse J=5 stack of 40 x 300 records, the
     sizes the resampling drivers use, and on a stack whose records saturate."""
 
+    @staticmethod
+    def _stacks(rng, case):
+        # the (mediator, outcome) kernel inputs of a case
+        if case == "saturated":
+            return _saturated_kernel_stack(rng)
+        mediator, model, S, n = ((J3_MEDIATOR, J3_OUTCOME, 24, 500) if case == "j3"
+                                 else (SPARSE_MEDIATOR, SPARSE_OUTCOME, 40, 300))
+        return _simulated_kernel_stack(rng, mediator, model, S, n)
+
     @pytest.mark.parametrize("case", ["j3", "sparse-j5", "saturated"])
     def test_kernels_equal_plain_references(self, rng, case):
-        if case == "saturated":
-            bernoulli, outcome = _saturated_kernel_stack(rng)
-        else:
-            mediator, model, S, n = ((J3_MEDIATOR, J3_OUTCOME, 24, 500) if case == "j3"
-                                     else (SPARSE_MEDIATOR, SPARSE_OUTCOME, 40, 300))
-            bernoulli, outcome = _simulated_kernel_stack(rng, mediator, model, S, n)
+        bernoulli, outcome = self._stacks(rng, case)
         theta, W, y, J = outcome
         K = J - 1
         ref = _plain_outcome_parts(theta[:, :K], theta[:, K:], W, y, J)
-        got = _proportional_odds_parts(theta, W, _open_ends(y, J), y)
+        got = _outcome_kernel(theta, W, y, J)
         assert [r.tobytes() for r in got] == [r.tobytes() for r in ref[:3]]
         assert ref[3].sum() == len(y) - (case == "saturated")
         if case == "saturated":
             assert np.abs(W[:, :, 0]).max() > 745.0 and np.bincount(y[1], minlength=6)[3:5].sum() == 0
             assert np.signbit(ref[2][1, 2, 2]) == 0 and ref[2][1, 2, 2] == 0.0  # +0, bit for bit
-        got, ref = _bernoulli_parts(*bernoulli), _plain_bernoulli_parts(*bernoulli)
+        got, ref = _mediator_kernel(*bernoulli), _plain_bernoulli_parts(*bernoulli)
         assert [r.tobytes() for r in got] == [r.tobytes() for r in ref]
+
+    @pytest.mark.parametrize("case", ["j3", "sparse-j5", "saturated"])
+    def test_one_workspace_serves_a_stack_and_then_its_first_problems(self, rng, case):
+        # as in the engine once problems stop: a workspace sized for the
+        # stack evaluates the stack and then its first S' < S problems, each
+        # bitwise as in a fresh workspace
+        (gamma, Z, m), (theta, W, y, J) = self._stacks(rng, case)
+        S = len(y)
+        mediator_work = _workspace(*m.shape, 0, Z.shape[2])
+        outcome_work = _workspace(*y.shape, J, W.shape[2])
+        assert case != "saturated" or not Z.flags.c_contiguous  # the weighted Z keeps Z's memory order
+        for rows in (S, S - 3, 1):
+            kernels = [(_mediator_kernel, (gamma[:rows], Z[:rows], m[:rows]), mediator_work),
+                       (_outcome_kernel, (theta[:rows], W[:rows], y[:rows], J), outcome_work)]
+            for kernel, args, work in kernels:
+                got, fresh = kernel(*args, work), kernel(*args)
+                assert [r.tobytes() for r in got] == [r.tobytes() for r in fresh]
 
 
 class TestEvaluationCounts:
@@ -609,7 +646,7 @@ class TestEvaluationCounts:
             fits.append(fit_outcome(sparse.subset(idx)))
         counts = [(fit.iterations, fit.evaluations, fit.halvings, fit.fallback_steps) for fit in fits]
 
-        def log_cosh(theta):
+        def log_cosh(theta, work):
             t = theta[:, 0]
             return -np.log(np.cosh(t)), -np.tanh(t)[:, None], (-1.0 / np.cosh(t) ** 2)[:, None, None]
 
@@ -625,7 +662,7 @@ class TestEvaluationCounts:
     def test_damped_gradient_directions_are_counted(self):
         # maximize -log(1 + t^2): the Hessian is positive for |t| > 1, so a
         # start at t = 2 needs damped gradient steps before Newton takes over
-        def fun(theta):
+        def fun(theta, work):
             t = theta[:, 0]
             hess = (-2.0 * (1.0 - t * t) / (1.0 + t * t) ** 2)[:, None, None]
             return -np.log1p(t * t), (-2.0 * t / (1.0 + t * t))[:, None], hess
@@ -639,7 +676,7 @@ class TestEvaluationCounts:
         assert near[2][3] == 0
 
 
-def _quadratic(theta, w):
+def _quadratic(theta, w, work):
     # maximize -(t - 1)^2 - w (u - 2)^2: Newton's first step is exact for
     # w > 0; for w = 0 the Hessian is singular everywhere and u is not identified
     t, u = theta[:, 0] - 1.0, theta[:, 1] - 2.0
@@ -651,9 +688,9 @@ def _quadratic(theta, w):
 
 def _maximize(fun, theta0, *args, errors=None):
     # the engine's record of a stack, and its error list (none recorded
-    # before the run unless ``errors`` is given)
+    # before the run unless ``errors`` is given); fun gets an empty workspace
     errors = [None] * len(theta0) if errors is None else errors
-    return _newton_maximize(fun, theta0, args, "test problem", errors), errors
+    return _newton_maximize(fun, theta0, args, (0, 0, 0), "test problem", errors), errors
 
 
 def _converged(fun, theta0, *args):
@@ -719,7 +756,7 @@ class TestEngineExits:
         # damped gradient steps before Newton takes over (-log(1 + t^2) from
         # 2 and 1.5), one exact step (-(t - 1)^2 from 0) and a start at the
         # optimum (-(t - 1)^2 from 1); each ends bitwise as it does alone
-        def fun(theta, kind):
+        def fun(theta, kind, work):
             t = theta[:, 0]
             ll = np.where(kind == 0, -np.log(np.cosh(t)), np.where(kind == 1, -np.log1p(t * t), -(t - 1.0) ** 2))
             grad = np.where(kind == 0, -np.tanh(t), np.where(kind == 1, -2.0 * t / (1.0 + t * t), -2.0 * (t - 1.0)))
@@ -730,6 +767,7 @@ class TestEngineExits:
         theta0 = np.array([[1.5], [2.0], [1.5], [0.0], [1.0]])
         kind = np.array([0, 1, 1, 2, 2])
         fits = _converged(fun, theta0, kind)
+        assert kind.tolist() == [0, 1, 1, 2, 2]  # stops move rows in the engine's arrays, not the caller's
         outcomes = _outcomes(fits)
         for s in range(len(kind)):
             alone_fits = _converged(fun, theta0[s:s + 1], kind[s:s + 1])
@@ -742,9 +780,35 @@ class TestEngineExits:
         assert sum(halvings for _, _, halvings, _ in counts) > 0
         assert sum(damped for _, _, _, damped in counts) > 0
 
+    def test_a_stop_allocates_no_record_sized_array(self, monkeypatch):
+        # a J=3 stack of 24 problems, one of which stops a round before the
+        # rest: the memory traced at every kernel entry stays within one
+        # (S, n) float slot of that at the first entry (the running rows move
+        # forward in arrays the engine allocated at entry), and the caller's
+        # arrays keep their bytes
+        design = SimulationDesign(n=500, mean_x=3.0, sd_x=1.5, mediator=J3_MEDIATOR, outcome=J3_OUTCOME, seed=1)
+        stack = _simulate_stack(design, [replicate_seed(1, r) for r in range(24)])
+        designs = ordmed.estimation._designs(stack)
+        before = [stack.y.tobytes(), designs[0].tobytes()]
+        entries = []
+
+        def kernel(theta, *args, real=_proportional_odds_parts):
+            entries.append((len(theta), tracemalloc.get_traced_memory()[0]))
+            return real(theta, *args)
+
+        monkeypatch.setattr(ordmed.estimation, "_proportional_odds_parts", kernel)
+        tracemalloc.start()
+        try:
+            ordmed.estimation._solve_outcomes(stack, [None] * 24, designs)
+        finally:
+            tracemalloc.stop()
+        assert [size for size, _ in entries][-2:] == [24, 23]
+        assert max(memory for _, memory in entries) - entries[0][1] < 24 * 500 * 8
+        assert [stack.y.tobytes(), designs[0].tobytes()] == before
+
     def test_non_finite_start_fails_only_its_problem(self):
-        def fun(theta, w):
-            ll, grad, hess = _quadratic(theta, np.ones_like(w))
+        def fun(theta, w, work):
+            ll, grad, hess = _quadratic(theta, np.ones_like(w), work)
             return np.where(w > 0, ll, -np.inf), grad, hess
 
         calls = []
@@ -761,9 +825,9 @@ class TestEngineExits:
         # problems 1 and 3 come with errors (and a singular Hessian for 1):
         # the engine never evaluates them and leaves their errors and their
         # zero rows, and every other problem ends bitwise as it does alone
-        def fun(theta, w, stack_rows):
+        def fun(theta, w, stack_rows, work):
             evaluated.extend(stack_rows.tolist())
-            return _quadratic(theta, w)
+            return _quadratic(theta, w, work)
 
         evaluated, calls = [], []
         w = np.array([1.0, 0.0, 0.5, 2.0, 3.0])
@@ -790,7 +854,7 @@ class TestEngineExits:
     def test_iteration_limit(self):
         # log-likelihood t rises without bound, and a positive curvature
         # sends every step down the damped gradient
-        def fun(theta):
+        def fun(theta, work):
             S = theta.shape[0]
             return theta[:, 0].copy(), np.ones((S, 1)), np.ones((S, 1, 1))
 
@@ -803,7 +867,7 @@ class TestEngineExits:
     def test_stop_when_every_halving_is_rejected(self):
         # a flat log-likelihood whose gradient never falls: no candidate
         # is accepted, and the fit ends where it started
-        def fun(theta):
+        def fun(theta, work):
             S = theta.shape[0]
             return np.zeros(S), np.ones((S, 1)), -np.ones((S, 1, 1))
 
@@ -1219,6 +1283,15 @@ class TestFitOutcome:
             fit_outcome(data)
         assert len(str(err.value)) < 200
         errors = _fit_outcomes(_Stack.of([data, data]))
+        assert all(isinstance(e, DegenerateDataError) for e in errors)
+
+    @pytest.mark.parametrize("J", [2**40, 2**63 - 1])
+    def test_more_levels_than_memory_fail_as_too_few_records(self, J):
+        # the failed record takes no J-wide row: no MemoryError, no numpy dimension error
+        data = _dataset([0.1, 0.5, 0.9], [0, 1, 0], [1, 2, 1], J=J)
+        with pytest.raises(DegenerateDataError, match=f"{J} outcome levels but only 3 records"):
+            fit_outcome(data)
+        errors = _fit_outcomes(_Stack.of([data] * 3))
         assert all(isinstance(e, DegenerateDataError) for e in errors)
 
     def test_covariate_fit_recovers(self):

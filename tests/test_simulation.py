@@ -328,6 +328,12 @@ class TestMonteCarloStudy:
         with pytest.raises(DegenerateDataError, match="all 20 replicates failed"):
             monte_carlo_study(design, 20, QUERY)
 
+    def test_fewer_records_than_levels_fail_every_replicate(self):
+        # n = 2 < J = 3: every outcome fit fails before its engine runs
+        design = SimulationDesign(n=2, mean_x=0.0, sd_x=1.0, mediator=J3_MEDIATOR, outcome=J3_OUTCOME, seed=5)
+        with pytest.raises(DegenerateDataError, match="all 4 replicates failed"):
+            monte_carlo_study(design, 4, QUERY)
+
     def test_mean_and_sd_shapes(self):
         summary = monte_carlo_study(dataclasses.replace(SPARSE_DESIGN, n=200), 5, QUERY)
         assert summary.mean.shape == (14,)
