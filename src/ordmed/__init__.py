@@ -10,11 +10,9 @@ from .effects import (
     counterfactual_cumulative_logit,
     effect_labels,
     effect_table,
-    g_cross,
     log_cde,
     log_nde,
     log_nie,
-    log_rr_correction,
     log_tce,
     plug_in_oracle,
 )
@@ -84,11 +82,9 @@ __all__ = [
     "effect_table",
     "fit_mediator",
     "fit_outcome",
-    "g_cross",
     "log_cde",
     "log_nde",
     "log_nie",
-    "log_rr_correction",
     "log_tce",
     "loglik_mediator",
     "loglik_outcome",

@@ -35,6 +35,7 @@ import json
 import math
 import os
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -296,7 +297,7 @@ def _design_from_args(args):
 
 
 def _metadata(argv, seed=None, randomized=False, extra=()):
-    items = [("tool", f"ordmed {__version__}"), ("command", "ordmed " + " ".join(argv))]
+    items = [("tool", f"ordmed {__version__}"), ("command", shlex.join(["ordmed", *argv]))]
     if seed is not None:
         items.append(("seed", str(seed)))
     if randomized:

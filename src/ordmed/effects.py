@@ -38,7 +38,6 @@ from .models import (
     _finite_scalar,
     _finite_tuple,
     _parameters,
-    _whole,
     category_probabilities,
     cumulative_probability,
     mediator_probability,
@@ -143,36 +142,16 @@ def _mixture_terms(x, xstar, c, mediator_theta, outcome_theta):
     return {"g0": g0, "g1": g1, "log_rr": log_rr, "logit": base - log_rr}
 
 
-def _term_at(key, j, x, xstar, c, mediator, outcome):
-    # validated lookup of one _mixture_terms entry at level j
+def counterfactual_cumulative_logit(j, x, xstar, c, mediator: MediatorModel, outcome: OutcomeModel):
+    """logit P(Y(x, M(xstar)) <= j | c): the counterfactual outcome model is
+    itself a cumulative logit, with the mediator held at its natural law
+    under exposure ``xstar`` (formula in :func:`_mixture_terms`).  With
+    xstar = x this is the ordinary marginal cumulative logit of Y on X."""
     c = _check_pair(mediator, outcome, c)
     j = _check_level(j, outcome.J)
     x, xstar = _finite_scalar(x, "x"), _finite_scalar(xstar, "xstar")
     terms = _mixture_terms([x], [xstar], c, _parameters(mediator)[None], _parameters(outcome)[None])
-    return float(terms[key][0, 0, j - 1])
-
-
-def g_cross(d, j, x, xstar, c, mediator: MediatorModel, outcome: OutcomeModel):
-    """Log odds of M=1 given the event I(Y<=j)=d, mixing the outcome part at
-    exposure ``x`` with the mediator part at exposure ``xstar`` (formula in
-    :func:`_mixture_terms`).  ``g_cross(d, j, x, x, c)`` is the observed g
-    at the one exposure ``x``, which depends on j only through alpha_j."""
-    return _term_at(f"g{_whole(d, 'd', 0, 2)}", j, x, xstar, c, mediator, outcome)
-
-
-def log_rr_correction(j, x, c, mediator: MediatorModel, outcome: OutcomeModel):
-    """log of the relative risk of M=0 across I(Y<=j) levels,
-    log[(1+exp g_0) / (1+exp g_1)]: the term separating the conditional from
-    the marginal cumulative logit.  Zero when betaM + betaXM*x = 0."""
-    return _term_at("log_rr", j, x, x, c, mediator, outcome)
-
-
-def counterfactual_cumulative_logit(j, x, xstar, c, mediator: MediatorModel, outcome: OutcomeModel):
-    """logit P(Y(x, M(xstar)) <= j | c): the counterfactual outcome model is
-    itself a cumulative logit, with the mediator held at its natural law
-    under exposure ``xstar``.  With xstar = x this is the ordinary marginal
-    cumulative logit of Y on X."""
-    return _term_at("logit", j, x, xstar, c, mediator, outcome)
+    return float(terms["logit"][0, 0, j - 1])
 
 
 def plug_in_oracle(j, x, xstar, c, mediator: MediatorModel, outcome: OutcomeModel):

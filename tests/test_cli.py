@@ -10,6 +10,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -279,6 +280,21 @@ class TestFitCommand:
         data_csv.write_text(SEPARATED_ROWS)
         code = main(["fit", "--data", str(data_csv), "--out", str(tmp_path / "fit.csv")])
         assert code == EXIT_CONVERGENCE
+
+    def test_recorded_command_line_is_the_run(self, tmp_path):
+        # a path with a space and a "$" is recorded shell-quoted, so the
+        # metadata's command line splits back into the argv that ran
+        data_csv = tmp_path / "my $data.csv"
+        main(["simulate", *J3_FLAGS, "--n", "200", "--seed", "11", "--out", str(data_csv)])
+        argv = ["fit", "--data", str(data_csv), "--out", str(tmp_path / "fit out.csv")]
+        assert main(argv) == EXIT_OK
+        metadata, _ = read_csv(tmp_path / "fit out.csv")
+        assert shlex.split(metadata["command"]) == ["ordmed", *argv]
+        argv = ["analyze", "--data", str(data_csv), "--x", "3.5", "--xstar", "2", "--bootstrap", "0",
+                "--format", "json", "--out", str(tmp_path / "report $x.json")]
+        assert main(argv) == EXIT_OK
+        payload = json.loads((tmp_path / "report $x.json").read_text())
+        assert shlex.split(payload["metadata"]["command"]) == ["ordmed", *argv]
 
 
 class TestAnalyzeCommand:

@@ -13,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import ordmed
 from ordmed import (
     ConsistencyError,
     DimensionError,
@@ -25,11 +26,9 @@ from ordmed import (
     cumulative_probability,
     effect_labels,
     effect_table,
-    g_cross,
     log_cde,
     log_nde,
     log_nie,
-    log_rr_correction,
     log_tce,
     mediator_probability,
     plug_in_oracle,
@@ -98,6 +97,21 @@ def test_frozen_constants_match_oracle():
     )
 
 
+def test_public_api_is_pinned():
+    # a public name is added or dropped only on purpose
+    assert sorted(ordmed.__all__) == [
+        "BootstrapResult", "ConsistencyError", "ConvergenceError", "DataValidationError", "Dataset",
+        "DegenerateDataError", "DimensionError", "EffectQuery", "EffectTable", "FitResult",
+        "MediationError", "MediatorModel", "ModelSpecError", "MonteCarloSummary", "OutcomeModel",
+        "SeparationError", "SimulationDesign", "bootstrap_effects", "category_probabilities",
+        "counterfactual_cumulative_logit", "cumulative_probability", "effect_labels", "effect_table",
+        "fit_mediator", "fit_outcome", "log_cde", "log_nde", "log_nie", "log_tce", "loglik_mediator",
+        "loglik_outcome", "mediator_loglik_gradient", "mediator_probability", "monte_carlo_study",
+        "outcome_loglik_gradient", "parameter_labels", "percentile_interval", "plug_in_oracle",
+        "quantile", "replicate_seed", "simulate_dataset", "validate_dataset",
+    ]
+
+
 class TestEffectQuery:
     @pytest.mark.parametrize("x, xstar, c", [
         (math.nan, 2.0, ()),
@@ -114,15 +128,14 @@ class TestEffectQuery:
         with pytest.raises(ModelSpecError):
             EffectQuery(x, xstar, c)
         name = "x" if math.isnan(x) else "xstar" if math.isinf(xstar) else "c"
-        for point in (lambda: g_cross(0, 1, x, xstar, c, J3_MEDIATOR, J3_OUTCOME),
-                      lambda: counterfactual_cumulative_logit(1, x, xstar, c, J3_MEDIATOR, J3_OUTCOME),
+        for point in (lambda: counterfactual_cumulative_logit(1, x, xstar, c, J3_MEDIATOR, J3_OUTCOME),
                       lambda: plug_in_oracle(1, x, xstar, c, J3_MEDIATOR, J3_OUTCOME)):
             with pytest.raises(ModelSpecError, match=fr"\b{name} must be"):
                 point()
-        # log_rr_correction takes one exposure, which it names x
+        # the one-exposure form, xstar = x, names its one exposure x
         exposure, named = (xstar, "x") if name == "xstar" else (x, name)
         with pytest.raises(ModelSpecError, match=fr"\b{named} must be"):
-            log_rr_correction(1, exposure, c, J3_MEDIATOR, J3_OUTCOME)
+            counterfactual_cumulative_logit(1, exposure, exposure, c, J3_MEDIATOR, J3_OUTCOME)
 
     def test_values_are_stored_as_floats(self):
         q = EffectQuery(3, "2", (1,))
@@ -130,64 +143,51 @@ class TestEffectQuery:
         assert all(type(v) is float for v in (q.x, q.xstar, *q.c))
 
 
+def _terms(x, xstar, c, mediator, outcome):
+    """The _mixture_terms arrays of one model pair at one exposure pair,
+    each over the levels j = 1..J-1."""
+    terms = effects._mixture_terms([x], [xstar], np.array(c, dtype=float), _parameters(mediator)[None],
+                                   _parameters(outcome)[None])
+    return {key: value[0, 0] for key, value in terms.items()}
+
+
 class TestGFunctions:
     def test_g_observed_oracle_values(self):
-        assert g_cross(0, 1, 3.5, 3.5, (), J3_MEDIATOR, J3_OUTCOME) == pytest.approx(G_OBS_D0, abs=1e-12)
-        assert g_cross(1, 1, 3.5, 3.5, (), J3_MEDIATOR, J3_OUTCOME) == pytest.approx(G_OBS_D1, abs=1e-12)
+        terms = _terms(3.5, 3.5, (), J3_MEDIATOR, J3_OUTCOME)
+        assert terms["g0"][0] == pytest.approx(G_OBS_D0, abs=1e-12)
+        assert terms["g1"][0] == pytest.approx(G_OBS_D1, abs=1e-12)
 
     def test_d_term_is_a_shift(self):
-        g0 = g_cross(0, 1, 3.5, 3.5, (), J3_MEDIATOR, J3_OUTCOME)
-        g1 = g_cross(1, 1, 3.5, 3.5, (), J3_MEDIATOR, J3_OUTCOME)
-        assert g1 == pytest.approx(g0 - (0.7 + 0.5 * 3.5), abs=1e-12)
+        terms = _terms(3.5, 3.5, (), J3_MEDIATOR, J3_OUTCOME)
+        assert terms["g1"][0] == pytest.approx(terms["g0"][0] - (0.7 + 0.5 * 3.5), abs=1e-12)
 
     def test_d_irrelevant_without_mediator_effect(self):
         out = OutcomeModel((2.5, 5.5), 1.1, 0.0, 0.0)
+        terms = _terms(1.7, 1.7, (), J3_MEDIATOR, out)
         for j in (1, 2):
-            assert g_cross(0, j, 1.7, 1.7, (), J3_MEDIATOR, out) == g_cross(
-                1, j, 1.7, 1.7, (), J3_MEDIATOR, out
-            )
+            assert terms["g0"][j - 1] == terms["g1"][j - 1]
 
     def test_g_cross_oracle_values(self):
-        assert g_cross(0, 1, 3.5, 2.0, (), J3_MEDIATOR, J3_OUTCOME) == pytest.approx(G_CROSS_D0, abs=1e-12)
-        assert g_cross(1, 1, 3.5, 2.0, (), J3_MEDIATOR, J3_OUTCOME) == pytest.approx(G_CROSS_D1, abs=1e-12)
-
-    def test_level_and_d_validation(self):
-        with pytest.raises(ValueError):
-            g_cross(2, 1, 1.0, 1.0, (), J3_MEDIATOR, J3_OUTCOME)
-        with pytest.raises(ValueError):
-            g_cross(0, 3, 1.0, 1.0, (), J3_MEDIATOR, J3_OUTCOME)
-        # d is a whole number by the package's rule: True, 1.0 and numpy
-        # integers are d = 1, and a fraction or a string is a ModelSpecError
-        g1 = g_cross(1, 1, 3.5, 2.0, (), J3_MEDIATOR, J3_OUTCOME)
-        for d in (True, 1.0, np.int64(1)):
-            assert g_cross(d, 1, 3.5, 2.0, (), J3_MEDIATOR, J3_OUTCOME) == g1
-        for d in (0.5, "1", -1):
-            with pytest.raises(ModelSpecError, match="d must be a whole number"):
-                g_cross(d, 1, 3.5, 2.0, (), J3_MEDIATOR, J3_OUTCOME)
-
-    def test_covariate_dimension_checked(self):
-        with pytest.raises(DimensionError):
-            g_cross(0, 1, 1.0, 1.0, (1.0,), J3_MEDIATOR, J3_OUTCOME)
-        med = MediatorModel(0.0, 0.0, (1.0,))
-        with pytest.raises(DimensionError):
-            g_cross(0, 1, 1.0, 1.0, (1.0,), med, J3_OUTCOME)
+        terms = _terms(3.5, 2.0, (), J3_MEDIATOR, J3_OUTCOME)
+        assert terms["g0"][0] == pytest.approx(G_CROSS_D0, abs=1e-12)
+        assert terms["g1"][0] == pytest.approx(G_CROSS_D1, abs=1e-12)
 
 
 class TestLogRRCorrection:
     def test_zero_without_mediator_effect(self):
         out = OutcomeModel((2.5, 5.5), 1.1, 0.0, 0.0)
-        assert log_rr_correction(1, 3.5, (), J3_MEDIATOR, out) == 0.0
+        assert _terms(3.5, 3.5, (), J3_MEDIATOR, out)["log_rr"][0] == 0.0
 
     def test_oracle_values(self):
-        assert log_rr_correction(1, 3.5, (), J3_MEDIATOR, J3_OUTCOME) == pytest.approx(LOG_RR_X35, abs=1e-12)
-        assert log_rr_correction(1, 2.0, (), J3_MEDIATOR, J3_OUTCOME) == pytest.approx(LOG_RR_X2, abs=1e-12)
+        assert _terms(3.5, 3.5, (), J3_MEDIATOR, J3_OUTCOME)["log_rr"][0] == pytest.approx(LOG_RR_X35, abs=1e-12)
+        assert _terms(2.0, 2.0, (), J3_MEDIATOR, J3_OUTCOME)["log_rr"][0] == pytest.approx(LOG_RR_X2, abs=1e-12)
 
     def test_positive_when_mediator_raises_outcome(self, rng):
         for _ in range(50):
             med, out = random_model_pair(rng)
             x = rng.uniform(-2, 2)
             if out.betaM + out.betaXM * x > 0.01:
-                assert log_rr_correction(1, x, (), med, out) > 0.0
+                assert _terms(x, x, (), med, out)["log_rr"][0] > 0.0
 
 
 class TestMarginalLogit:
@@ -220,6 +220,17 @@ class TestMarginalLogit:
 
 
 class TestCounterfactualLogit:
+    def test_level_validation(self):
+        with pytest.raises(ValueError):
+            counterfactual_cumulative_logit(3, 1.0, 1.0, (), J3_MEDIATOR, J3_OUTCOME)
+
+    def test_covariate_dimension_checked(self):
+        with pytest.raises(DimensionError):
+            counterfactual_cumulative_logit(1, 1.0, 1.0, (1.0,), J3_MEDIATOR, J3_OUTCOME)
+        med = MediatorModel(0.0, 0.0, (1.0,))
+        with pytest.raises(DimensionError):
+            counterfactual_cumulative_logit(1, 1.0, 1.0, (1.0,), med, J3_OUTCOME)
+
     def test_oracle_value(self):
         assert counterfactual_cumulative_logit(1, 3.5, 2.0, (), J3_MEDIATOR, J3_OUTCOME) == pytest.approx(
             COUNTERFACTUAL_J1, abs=1e-12
