@@ -3,6 +3,7 @@ oracles, gradient/finite-difference agreement, the likelihood kernel against
 a per-category reference and an mpmath oracle, evaluation-count guards, and
 failure diagnostics."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -19,6 +20,7 @@ from ordmed import (
     Dataset,
     DegenerateDataError,
     DimensionError,
+    EffectQuery,
     MediatorModel,
     OutcomeModel,
     SeparationError,
@@ -28,6 +30,7 @@ from ordmed import (
     loglik_mediator,
     loglik_outcome,
     mediator_loglik_gradient,
+    monte_carlo_study,
     outcome_loglik_gradient,
     parameter_labels,
     replicate_seed,
@@ -53,7 +56,7 @@ from ordmed.inference import _BOOTSTRAP_DOMAIN
 from ordmed.numerics import expit, keyed_stream
 from ordmed.simulation import _simulate_stack
 
-from conftest import J3_MEDIATOR, J3_OUTCOME, SPARSE_MEDIATOR, SPARSE_OUTCOME, random_model_pair
+from conftest import J3_MEDIATOR, J3_OUTCOME, SPARSE_MEDIATOR, SPARSE_OUTCOME, X_ACTIVE, X_BASELINE, random_model_pair
 
 
 def _dataset(x, m, y, J, c=None):
@@ -1322,3 +1325,40 @@ class TestFitResultContract:
         assert parameter_labels(fit_m.model) == ("gamma0", "gammaX")
         assert parameter_labels(fit_o.model) == ("alpha1", "alpha2", "betaX", "betaM", "betaXM")
         assert len(fit_o.standard_errors) == 5
+
+
+class TestOutputsWithoutRepeatsPinned:
+    """Data without a repeated record are fitted record by record, in their
+    own order and with unit weights, so their fits, Monte Carlo studies and
+    simulated data are pinned here as SHA-256 digests of their bytes."""
+
+    @staticmethod
+    def _digest(*parts):
+        h = hashlib.sha256()
+        for part in parts:
+            h.update(part if isinstance(part, bytes) else repr(part).encode())
+        return h.hexdigest()
+
+    def test_reference_fits_and_simulated_data(self):
+        sparse = SimulationDesign(n=300, mean_x=3.0, sd_x=1.3, mediator=SPARSE_MEDIATOR, outcome=SPARSE_OUTCOME,
+                                  seed=4242)
+        j3 = SimulationDesign(n=500, mean_x=3.0, sd_x=1.5, mediator=J3_MEDIATOR, outcome=J3_OUTCOME, seed=1)
+        digests = []
+        for design in (j3, sparse):
+            data = simulate_dataset(design)
+            assert len(np.unique(data.x)) == data.n  # no repeated record
+            digests.append(self._digest(*(getattr(data, f).tobytes() for f in ("x", "m", "y", "covariates"))))
+            digests.append(self._digest(*_bits(fit_mediator(data)), *_bits(fit_outcome(data))))
+        assert digests == [
+            "dad56748712021e5db087363ee847533b96fc9e53e6ed6ad1d62839c2cbfd689",
+            "b4aea6ca92631cb6009848cc869bd5bf22f941ff90b381af9ed1c25caf866121",
+            "4aedc31b7b43faed319384e939968f0dad1d817d13075afcb3ae6f09b6c2ce81",
+            "6986ab5f4383164fd120e1f82d584b4bf61966e9ac94ad3dd606b0cb8d8ef27b",
+        ]
+
+    def test_j3_monte_carlo_study(self):
+        design = SimulationDesign(n=500, mean_x=3.0, sd_x=1.5, mediator=J3_MEDIATOR, outcome=J3_OUTCOME, seed=1)
+        summary = monte_carlo_study(design, 200, EffectQuery(X_ACTIVE, X_BASELINE))
+        digest = self._digest(summary.estimates.tobytes(), summary.mean.tobytes(), summary.sd.tobytes(),
+                              summary.replicate_ids, summary.failed_replicates)
+        assert digest == "0153562eae9a0a35370e2971ab2403f4b5caf502ee57835383eda44189e993f8"
