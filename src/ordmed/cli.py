@@ -326,10 +326,30 @@ def _cell(value):
     return str(value)
 
 
+# Where str.splitlines breaks a line, and bash's $'...' escapes for the common ones.
+_LINE_BREAKS = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+_BASH_ESCAPES = {"\n": "\\n", "\r": "\\r", "\v": "\\v", "\f": "\\f"}
+
+
+def _one_line_word(arg):
+    """``shlex.quote(arg)``, or, when ``arg`` holds a line break, bash's
+    ``$'...'`` quoting with every line break escaped, so a command line
+    stays on one line and bash reads it back as the same argument."""
+    if not _LINE_BREAKS.search(arg):
+        return shlex.quote(arg)
+    escaped = arg.replace("\\", "\\\\").replace("'", "\\'")
+    return "$'" + _LINE_BREAKS.sub(lambda b: _BASH_ESCAPES.get(b[0], f"\\u{ord(b[0]):04x}"), escaped) + "'"
+
+
 def _write_csv(path, metadata, header, rows):
-    """The metadata block, the header, then one line per row of values."""
+    """The metadata block, one ``# key: value`` line per item, the header,
+    then one line per row of values.  The command line is written with
+    ``_one_line_word`` quoting (JSON keeps ``shlex.join``'s, which escapes
+    its line breaks itself)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for key, value in metadata:
+            if key == "command" and _LINE_BREAKS.search(value):
+                value = " ".join(map(_one_line_word, shlex.split(value)))
             fh.write(f"# {key}: {value}\n")
         writer = csv.writer(fh)
         writer.writerow(header)

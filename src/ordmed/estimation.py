@@ -25,6 +25,15 @@ stops the rest of the stack.  The engine returns one record per stack,
 max |gradient| and counts, as arrays.  A FitResult is one row of it; the
 resampling drivers read only the parameter rows.
 
+A dataset that repeats a record is fitted on its distinct records with
+their counts as frequency weights, and a dataset without a repeat on its own
+records with unit weights, whose exact multiplies are skipped
+(``_weigh``), so its fit keeps the bits of an unweighted one (the layout is
+``stacks``'s).  Each length of a stack (``_length_classes``) is one engine
+run, so a problem's sums still do not depend on its neighbours.  Level
+counts, the J > n check and the starts use the weights, and one sqrt(w) A
+serves the rank checks and the starts.
+
 Both fits start from least squares on their own data: the mediator at glm's
 first IRLS step from mu = (m + 1/2)/2, z = (2m - 1)(log 3 + 4/3) on (1, x, c);
 the outcome at the slopes beta of each record's mid-cumulative marginal logit
@@ -63,6 +72,7 @@ import numpy as np
 from .exceptions import ConvergenceError, DegenerateDataError, SeparationError
 from .models import Dataset, MediatorModel, OutcomeModel, _check_dims, _parameters
 from .numerics import expit_pair, log1pexp_expit
+from .stacks import _length_classes, _Stack
 
 GRADIENT_TOL = 1e-8
 _LOGLIK_RTOL = 1e-12
@@ -111,22 +121,6 @@ def parameter_labels(model):
     )
 
 
-class _Stack(NamedTuple):
-    """S datasets of n records each with J levels, stacked on a leading axis:
-    x, m, y of shape (S, n) and covariates of shape (S, n, p)."""
-
-    x: np.ndarray
-    m: np.ndarray
-    y: np.ndarray
-    covariates: np.ndarray
-    J: int
-
-    @classmethod
-    def of(cls, datasets):
-        return cls(*(np.array([getattr(d, f) for d in datasets]) for f in ("x", "m", "y", "covariates")),
-                   datasets[0].J)
-
-
 def loglik_mediator(model: MediatorModel, data: Dataset):
     """Bernoulli log-likelihood of the mediator regression."""
     return _mediator_parts(model, data)[0].item()
@@ -159,14 +153,14 @@ def _mediator_parts(model, data):
     # the mediator kernel at the model's parameters, on data as a stack of one
     _check_dims(model, data)
     return _bernoulli_parts(_parameters(model)[None], _mediator_design(data)[None], data.m[None].astype(float),
-                            _workspace(1, data.n, 0, data.p + 2))
+                            np.ones((1, 0)), _workspace(1, data.n, 0, data.p + 2))
 
 
 def _outcome_parts(model, data):
     # the outcome kernel at the model's parameters, on data as a stack of one
     _check_dims(model, data)
     W, y = _outcome_design(data)[None], data.y[None]
-    return _proportional_odds_parts(_parameters(model)[None], W, _open_ends(y, data.J), y,
+    return _proportional_odds_parts(_parameters(model)[None], W, _open_ends(y, data.J), y, np.ones((1, 0)),
                                     _workspace(1, data.n, data.J, W.shape[2]))
 
 
@@ -205,12 +199,21 @@ def _fit_pairs(stack: _Stack):
     datasets that both fits succeed on, in stack order, and per dataset None
     or the error that ``fit_mediator`` and then ``fit_outcome`` raise on it."""
     errors = [None] * len(stack.y)
-    designs = _designs(stack)
-    gamma = _solve_mediators(stack, errors, designs).theta
-    beta = _solve_outcomes(stack, errors, designs).theta
-    ok = [error is None for error in errors]
     K = stack.J - 1  # the rows of a J > n stack, whose record is zero-width, are (0, K + q)
-    return gamma[ok], beta[ok].reshape(-1, K + designs[0].shape[2]), errors
+    ids, gammas, betas = [], [], []
+    for rows, part in _length_classes(stack):
+        part_errors = [None] * len(rows)
+        designs = _designs(part)
+        gamma = _solve_mediators(part, part_errors, designs).theta
+        beta = _solve_outcomes(part, part_errors, designs).theta
+        ok = np.equal(part_errors, None)
+        ids.append(rows[ok])
+        gammas.append(gamma[ok])
+        betas.append(beta[ok].reshape(-1, K + designs[0].shape[2]))
+        for s, error in zip(rows.tolist(), part_errors):
+            errors[s] = error
+    order = np.argsort(np.concatenate(ids))
+    return np.concatenate(gammas)[order], np.concatenate(betas)[order], errors
 
 
 def _fit_mediators(stack: _Stack):
@@ -231,20 +234,25 @@ def _fit_outcomes(stack: _Stack):
 def _fit_results(stack, solve, model_of):
     # per dataset, the error that solve(stack, errors) records or the
     # FitResult of its row of the record, with model_of(theta) as its model
-    errors = [None] * len(stack.y)
-    fits = solve(stack, errors, _designs(stack))
-    for s in np.flatnonzero(np.equal(errors, None)).tolist():
-        iterations, evaluations, halvings, fallback_steps = fits.counts[s].tolist()
-        ses = _standard_errors(-fits.hess[s:s + 1])[0]
-        errors[s] = FitResult(model_of(fits.theta[s]), fits.loglik[s].item(), fits.gradient_norm[s].item(),
-                              iterations, tuple(ses), evaluations, halvings, fallback_steps)
-    return errors
+    results = [None] * len(stack.y)
+    for rows, part in _length_classes(stack):
+        errors = [None] * len(rows)
+        fits = solve(part, errors, _designs(part))
+        for i, s in enumerate(rows.tolist()):
+            results[s] = errors[i]
+            if errors[i] is None:
+                iterations, evaluations, halvings, fallback_steps = fits.counts[i].tolist()
+                ses = _standard_errors(-fits.hess[i:i + 1])[0]
+                results[s] = FitResult(model_of(fits.theta[i]), fits.loglik[i].item(), fits.gradient_norm[i].item(),
+                                       iterations, tuple(ses), evaluations, halvings, fallback_steps)
+    return results
 
 
 def _designs(stack: _Stack):
-    # W, the Gram matrices of A = (1, W) and the mask of the rank-deficient A
+    # W, the Gram matrices of sqrt(w) A, A = (1, W), and the mask of the rank-deficient ones
     W = _outcome_design(stack)
     A = np.concatenate([np.ones(W.shape[:2] + (1,)), W], axis=2)
+    _weigh(A, np.sqrt(_kernel_weights(stack))[:, :, None])
     return W, A.mT @ A, np.linalg.matrix_rank(A) < A.shape[2]
 
 
@@ -255,17 +263,20 @@ def _solve_mediators(stack: _Stack, errors, designs):
     Z = _mediator_design(stack)
     deficient = deficient & np.equal(errors, None)  # a full-rank A has a full-rank (1, x, c)
     if deficient.any():
-        deficient[deficient] = np.linalg.matrix_rank(Z[deficient]) < Z.shape[2]
+        root = np.sqrt(stack.weights[deficient])[:, :, None]
+        deficient[deficient] = np.linalg.matrix_rank(Z[deficient] * root) < Z.shape[2]
     _fail(errors, deficient, lambda s: DegenerateDataError(_DEFICIENT.format("mediator", "(1, x, c)")))
     cols = np.r_[0, 1, 4:gram.shape[2]]  # the (1, x, c) block of A's Gram matrix is Z's
     z = (2.0 * stack.m - 1.0) * (math.log(3.0) + 4.0 / 3.0)  # glm's working response at mu = (m + 1/2)/2
-    theta0 = _least_squares(errors, gram[:, cols[:, None], cols], (Z.mT @ z[:, :, None])[:, :, 0])
-    return _newton_maximize(_bernoulli_parts, theta0, (Z, stack.m.astype(float)), (Z.shape[1], 0, Z.shape[2]),
+    w = _kernel_weights(stack)
+    theta0 = _least_squares(errors, gram[:, cols[:, None], cols], (Z.mT @ _weigh(z, w)[:, :, None])[:, :, 0])
+    return _newton_maximize(_bernoulli_parts, theta0, (Z, stack.m.astype(float), w), (Z.shape[1], 0, Z.shape[2]),
                             "mediator model", errors)
 
 
 def _solve_outcomes(stack: _Stack, errors, designs):
-    S, n = stack.y.shape
+    S, L = stack.y.shape
+    n = stack.n
     J, K = stack.J, stack.J - 1
     W, gram, deficient = designs
     if J > n:  # some level is never observed: fail before sizing anything by J
@@ -273,7 +284,7 @@ def _solve_outcomes(stack: _Stack, errors, designs):
         _fail(errors, np.ones(S, dtype=bool), lambda s: error)
         return _Fits(np.zeros((S, 0)), np.zeros((S, 0, 0)), np.zeros(S), np.zeros(S), np.zeros((S, 4), np.int64))
     counts = np.bincount(
-        (stack.y + np.arange(0, S * (J + 1), J + 1)[:, None]).ravel(), minlength=S * (J + 1)
+        (stack.y + np.arange(0, S * (J + 1), J + 1)[:, None]).ravel(), stack.weights.ravel(), minlength=S * (J + 1)
     ).reshape(S, J + 1)[:, 1:]
 
     def missing_levels(s):
@@ -291,12 +302,19 @@ def _solve_outcomes(stack: _Stack, errors, designs):
     with np.errstate(divide="ignore"):  # a problem with an empty level has failed
         logits = np.log(p / (1.0 - p))
     t = logits.ravel()[stack.y + np.arange(K - 1, S * (J + K), J + K)[:, None]]  # each record's mid-cumulative logit
+    w = _kernel_weights(stack)
+    _weigh(t, w)
     rhs = np.concatenate([t.sum(axis=1)[:, None], (W.mT @ t[:, :, None])[:, :, 0]], axis=1)  # A^T t
     del t  # the outcome kernel sets the memory peak
     beta0 = _least_squares(errors, gram, rhs)[:, 1:]
     alpha0 = logits[:, :K] + (np.vecdot(gram[:, 0, 1:], beta0) / n)[:, None]
     return _newton_maximize(_proportional_odds_parts, np.concatenate([alpha0, beta0], axis=1),
-                            (W, _open_ends(stack.y, J), stack.y), (n, J, W.shape[2]), "outcome model", errors)
+                            (W, _open_ends(stack.y, J), stack.y, w), (L, J, W.shape[2]), "outcome model", errors)
+
+
+def _kernel_weights(stack):
+    # the kernels' frequency weights: of width 0 when every weight is one (see _weigh)
+    return stack.weights if (stack.weights != 1.0).any() else stack.weights[:, :0]
 
 
 def _fail(errors, mask, error_of):
@@ -334,18 +352,25 @@ def _workspace(S, n, J, q):
     return np.empty((slots, S, n)), np.empty((S, n), dtype=np.intp)
 
 
-def _bernoulli_parts(theta, Z, m, work):
+def _weigh(a, w):
+    # a times the frequency weights w, in place.  Unit weights come as w of width 0: their
+    # multiplies would be exact, so skipping them keeps the bits, and a plain stack pays nothing
+    return np.multiply(a, w, out=a) if w.shape[1] else a
+
+
+def _bernoulli_parts(theta, Z, m, w, work):
     # log-likelihood, score and Hessian of S logistic regressions:
-    # theta (S, q), Z (S, n, q), m (S, n), work = _workspace(S0 >= S, n, 0, q); slots 0-3 hold
-    # log1pexp_expit's pair and scratch, slot 4 eta, and slots 1.. the weighted Z
+    # theta (S, q), Z (S, n, q), m (S, n), frequency weights w (S, n) or (S, 0) (see _weigh) and
+    # work = _workspace(S0 >= S, n, 0, q); slots 0-3 hold log1pexp_expit's pair and scratch, slot 4 eta,
+    # and slots 1.. the weighted Z
     S, n, _ = Z.shape
     log_norm, prob, t, _, eta = work[0][:5, :S]
     np.matmul(Z, theta[:, :, None], out=eta.reshape(S, n, 1))
     log1pexp_expit(eta, work[0][:4, :S])
-    ll = np.subtract(np.multiply(m, eta, out=t), log_norm, out=t).sum(axis=1)
-    grad = (Z.mT @ np.subtract(m, prob, out=t)[:, :, None])[:, :, 0]
-    w = np.multiply(prob, np.subtract(1.0, prob, out=log_norm), out=log_norm)
-    hess = -(_weighted(Z, w, work[0][1:].reshape(-1)).mT @ Z)
+    ll = _weigh(np.subtract(np.multiply(m, eta, out=t), log_norm, out=t), w).sum(axis=1)
+    grad = (Z.mT @ _weigh(np.subtract(m, prob, out=t), w)[:, :, None])[:, :, 0]
+    v = _weigh(np.multiply(prob, np.subtract(1.0, prob, out=log_norm), out=log_norm), w)
+    hess = -(_weighted(Z, v, work[0][1:].reshape(-1)).mT @ Z)
     return ll, grad, hess
 
 
@@ -365,11 +390,13 @@ def _weighted(X, w, memory):
     return out
 
 
-def _proportional_odds_parts(theta, W, keep, y, work):
+def _proportional_odds_parts(theta, W, keep, y, w, work):
     """Log-likelihood, score and Hessian of S proportional-odds problems at
     their natural parameter rows theta = (alpha_1..alpha_K, beta) (S, K + q),
-    with W (S, n, q), keep = _open_ends(y, K + 1), y (S, n) and work =
-    _workspace(S0, n, K + 1, q) for some S0 >= S.
+    with W (S, n, q), keep = _open_ends(y, K + 1), y (S, n), frequency
+    weights w (S, n) or (S, 0) (see ``_weigh``) and work = _workspace(S0, n,
+    K + 1, q) for some S0 >= S.  Every record term is multiplied by its
+    weight once, so unit weights give the bits of an unweighted sum.
     Returns ll (S,), grad (S, d) and hess (S, d, d).  A problem with some
     category probability <= 0 gets ll = -inf, which the line search treats
     as a rejection; its derivatives are finite but meaningless.
@@ -399,7 +426,7 @@ def _proportional_odds_parts(theta, W, keep, y, work):
     np.multiply(np.multiply(bc, a, out=pi), t, out=pi)
     ok = ~(pi <= 0.0).any(axis=1)
     pi[~ok] = 1.0  # keeps the rejected problems' arithmetic finite; their ll is set to -inf below
-    ll = np.log(pi, out=t).sum(axis=1)
+    ll = _weigh(np.log(pi, out=t), w).sum(axis=1)
 
     # Densities fa = f(zh), fb = f(zl) of the logistic cdf F (f = F(1-F)),
     # and the ratios ra = fa/pi, rb = fb/pi, s = F(zl)(1-F(zh))/pi.  With
@@ -413,20 +440,22 @@ def _proportional_odds_parts(theta, W, keep, y, work):
     fa, fb = np.multiply(a, ac, out=z[0]), np.multiply(b, bc, out=z[1])
     s = np.divide(np.multiply(b, ac, out=t), pi, out=t)
     grad = np.empty((S, K + q))
-    grad[:, K:] = (W.mT @ np.subtract(b, ac, out=b)[:, :, None])[:, :, 0]
-    ra, rb = np.divide(fa, pi, out=ac), np.divide(fb, pi, out=b)
+    grad[:, K:] = (W.mT @ _weigh(np.subtract(b, ac, out=b), w)[:, :, None])[:, :, 0]
+    ra, rb = np.divide(_weigh(fa, w), pi, out=ac), np.divide(fb, pi, out=b)  # ra, fa weighted
 
-    def per_level(w):
-        # per problem, sums of w over the records of levels 1..J: alpha_j is above level j and below j + 1
-        return np.bincount(hi.ravel(), weights=w.ravel(), minlength=S * (J + 1)).reshape(S, J + 1)[:, 1:]
+    def per_level(v):
+        # per problem, sums of v over the records of levels 1..J: alpha_j is above level j and below j + 1
+        return np.bincount(hi.ravel(), weights=v.ravel(), minlength=S * (J + 1)).reshape(S, J + 1)[:, 1:]
 
-    # The diagonal negates K-column sums (rounding is sign-symmetric; 0.0 - x keeps an empty sum +0), not records.
+    off = per_level(np.multiply(ra, rb, out=pi))[:, 1:K]  # (alpha_{j-1}, alpha_j), j = 2..K; pi is spent
+    _weigh(rb, w)
+    _weigh(fb, w)
     grad[:, :K] = per_level(ra)[:, :K] - per_level(rb)[:, 1:]
     hess = np.zeros((S, K + q, K + q))
     thresholds = np.arange(K)
+    # The diagonal negates K-column sums (rounding is sign-symmetric; 0.0 - x keeps an empty sum +0), not records.
     hess[:, thresholds, thresholds] = 0.0 - (per_level(np.multiply(ra, np.add(a, s, out=a), out=a))[:, :K]
                                              + per_level(np.multiply(rb, np.add(bc, s, out=bc), out=bc))[:, 1:])
-    off = per_level(np.multiply(ra, rb, out=a))[:, 1:K]  # (alpha_{j-1}, alpha_j), j = 2..K
     hess[:, thresholds[:-1], thresholds[1:]] = hess[:, thresholds[1:], thresholds[:-1]] = off
 
     # cross derivatives of each record in the columns of its two thresholds

@@ -6,7 +6,10 @@ results are bitwise reproducible and independent of evaluation order; the
 point estimate always comes from the full data, never from resamples.
 ``_stacked_effects`` fits and evaluates the resamples, and the Monte Carlo
 study's replicates, in stacks of about 12,000 records and keeps each one's
-error by its index.
+error by its index.  Only about 63% of a resample's records are distinct,
+so it is fitted on its distinct records with their draw counts as weights,
+taken from one sort of the data (``stacks._resampled``), exactly as a fit of
+``data.subset(idx)`` is.
 
 Quantiles use linear interpolation between order statistics ("type 7")
 throughout.  Only percentile intervals are provided; BCa or studentized
@@ -20,10 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effects import EffectQuery, EffectTable, _effect_rows, effect_labels, effect_table
-from .estimation import FitResult, _fit_pairs, _Stack, fit_mediator, fit_outcome
+from .estimation import FitResult, _fit_pairs, fit_mediator, fit_outcome
 from .exceptions import DegenerateDataError, ModelSpecError
 from .models import Dataset, _level, _seed, _whole
 from .numerics import keyed_streams
+from .stacks import _record_groups, _resampled
 
 _BOOTSTRAP_DOMAIN = 2
 
@@ -133,9 +137,10 @@ def bootstrap_effects(data: Dataset, query: EffectQuery, B, level=0.95, *, seed)
     Degenerate resamples (a missing outcome level or a single mediator value)
     and resamples whose fits fail are counted in ``failures`` and excluded,
     never redrawn.  Resamples are drawn, fitted and evaluated in stacks of
-    about 12,000 records, as arrays; each one's fits are bitwise those of
-    ``fit_mediator``/``fit_outcome`` on it, and its effects those of
-    ``effect_table`` on their models.
+    about 12,000 records, as arrays, each on its distinct records with
+    counts; each one's fits are bitwise those of ``fit_mediator``/
+    ``fit_outcome`` on it, and its effects those of ``effect_table`` on
+    their models.
     """
     B = _whole(B, "B", 1)
     seed = _seed(seed)
@@ -145,10 +150,12 @@ def bootstrap_effects(data: Dataset, query: EffectQuery, B, level=0.95, *, seed)
     point_outcome = fit_outcome(data)
     point = effect_table(query, point_mediator.model, point_outcome.model)
 
+    distinct, group = _record_groups(data)
+
     def resamples(ids):
         keys = np.column_stack([np.full(len(ids), _BOOTSTRAP_DOMAIN), ids])
         idx = np.stack([rng.integers(0, data.n, size=data.n) for rng in keyed_streams(seed, keys)])
-        return _Stack(data.x[idx], data.m[idx], data.y[idx], data.covariates[idx], data.J)
+        return _resampled(data, distinct, group, idx)
 
     estimates, _ = _stacked_effects(query, B, data.n, resamples)
     if not estimates.shape[0]:

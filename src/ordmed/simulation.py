@@ -11,7 +11,8 @@ Datasets are drawn in stacks: each draws its uniforms from its own streams,
 then every transform runs once on the stacked arrays, and ``simulate_dataset``
 is a stack of one.  The Monte Carlo study's replicates go through the
 bootstrap's driver, ``inference._stacked_effects``, in stacks of about 12,000
-records.
+records; a replicate that repeats a record is fitted on its distinct records
+with counts, as ``fit_mediator`` fits it (``stacks._distinct``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effects import EffectQuery, effect_labels
-from .estimation import _Stack
 from .exceptions import DegenerateDataError, DimensionError, ModelSpecError
 from .inference import _check_summary, _sample_sd, _stacked_effects
 from .models import (
@@ -36,6 +36,7 @@ from .models import (
     _whole,
 )
 from .numerics import expit, inverse_normal_cdf, keyed_streams, stream_keys
+from .stacks import _distinct, _Stack
 
 _SIM_DOMAIN = 0
 _REPLICATE_DOMAIN = 1
@@ -143,7 +144,7 @@ def _simulate_stack(design: SimulationDesign, seeds) -> _Stack:
         y = np.ones((len(seeds), n), dtype=np.int64)
         for alpha in design.outcome.alpha:
             y += u >= expit(alpha - eta)
-    return _Stack(x, m, y, C, design.outcome.J)
+    return _Stack(x, m, y, C, design.outcome.J, np.ones(x.shape))
 
 
 def _finite(values, what, fields):
@@ -207,7 +208,8 @@ def monte_carlo_study(design: SimulationDesign, replications, query: EffectQuery
         raise DimensionError(f"query has {len(query.c)} covariate(s) but design has {design.p}")
 
     seeds = _replicate_seeds(design.seed, range(replications))
-    estimates, errors = _stacked_effects(query, replications, design.n, lambda ids: _simulate_stack(design, seeds[ids]))
+    estimates, errors = _stacked_effects(query, replications, design.n,
+                                        lambda ids: _distinct(_simulate_stack(design, seeds[ids])))
     if not estimates.shape[0]:
         raise DegenerateDataError(f"all {replications} replicates failed to fit")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -296,6 +296,32 @@ class TestFitCommand:
         payload = json.loads((tmp_path / "report $x.json").read_text())
         assert shlex.split(payload["metadata"]["command"]) == ["ordmed", *argv]
 
+    def test_recorded_command_line_with_line_breaks_stays_one_line(self, tmp_path):
+        # a path holding line breaks, a quote and a backslash is recorded in
+        # bash's $'...' quoting: every metadata item stays one "#" line, the
+        # other arguments keep their shlex quoting, bash reads the command
+        # back as the argv that ran, and JSON keeps shlex.join's form
+        data_csv = tmp_path / "a\nb\r'c\\d\u2028e\x85.csv"
+        quoted = f"$'{tmp_path}/a\\nb\\r\\'c\\\\d\\u2028e\\u0085.csv'"
+        simulate = ["simulate", *J3_FLAGS, "--n", "200", "--seed", "11", "--out", str(data_csv)]
+        fit = ["fit", "--data", str(data_csv), "--out", str(tmp_path / "nl fit.csv")]
+        for argv, out in ((simulate, data_csv), (fit, tmp_path / "nl fit.csv")):
+            assert main(argv) == EXIT_OK
+            text = out.read_text(encoding="utf-8")
+            lines = text.splitlines()
+            header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+            assert text.count("\n") == len(lines)  # no other character breaks a line
+            assert lines[header] in ("x,m,y", "model,parameter,estimate,std_error")
+            command = lines[1].removeprefix("# command: ")
+            assert command == shlex.join(["ordmed", *argv]).replace(shlex.quote(str(data_csv)), quoted)
+            words = subprocess.run(["bash", "-c", "printf '%s\\0' " + command], capture_output=True, check=True,
+                                   env={**os.environ, "LC_ALL": "C.UTF-8"}).stdout.decode().split("\0")
+            assert words == ["ordmed", *argv, ""]
+        argv = ["fit", "--data", str(data_csv), "--format", "json", "--out", str(tmp_path / "nl fit.json")]
+        assert main(argv) == EXIT_OK
+        payload = json.loads((tmp_path / "nl fit.json").read_text(encoding="utf-8"))
+        assert payload["metadata"]["command"] == shlex.join(["ordmed", *argv])
+
 
 class TestAnalyzeCommand:
     def test_full_report_json(self, tmp_path):

@@ -342,17 +342,17 @@ def _stacked_parts(alpha, beta, W, y, J):
 
 
 def _outcome_kernel(theta, W, y, J, work=None):
-    """The outcome kernel at the parameter rows theta, in ``work`` or a
-    fresh workspace."""
+    """The outcome kernel at the parameter rows theta, with unit weights, in
+    ``work`` or a fresh workspace."""
     work = _workspace(*y.shape, J, W.shape[2]) if work is None else work
-    return _proportional_odds_parts(theta, W, _open_ends(y, J), y, work)
+    return _proportional_odds_parts(theta, W, _open_ends(y, J), y, np.ones(y.shape), work)
 
 
 def _mediator_kernel(theta, Z, m, work=None):
-    """The mediator kernel at the parameter rows theta, in ``work`` or a
-    fresh workspace."""
+    """The mediator kernel at the parameter rows theta, with unit weights, in
+    ``work`` or a fresh workspace."""
     work = _workspace(*m.shape, 0, Z.shape[2]) if work is None else work
-    return _bernoulli_parts(theta, Z, m, work)
+    return _bernoulli_parts(theta, Z, m, np.ones(m.shape), work)
 
 
 def _assert_parts_close(got, ref, rtol):
@@ -602,6 +602,53 @@ class TestKernelsBitwise:
             for kernel, args, work in kernels:
                 got, fresh = kernel(*args, work), kernel(*args)
                 assert [r.tobytes() for r in got] == [r.tobytes() for r in fresh]
+
+
+class TestWeightedKernels:
+    """Both kernels on each problem's distinct records, with their counts as
+    weights and zero-weight copies of the last one as padding, equal the
+    kernels on the records themselves within 1e-12 relative: on the stacks
+    of TestKernelsBitwise, saturated records included."""
+
+    @pytest.mark.parametrize("case", ["j3", "sparse-j5", "saturated"])
+    def test_distinct_records_with_counts_equal_their_records(self, rng, case):
+        (gamma, Z, m), (theta, W, y, J) = TestKernelsBitwise._stacks(rng, case)
+        S, n = y.shape
+        idx = rng.integers(0, n, (S, n))  # each problem draws n of its records, with repeats
+        counts = np.stack([np.bincount(i, minlength=n) for i in idx])
+        d = np.count_nonzero(counts, axis=1)
+        L = d.max() + 3
+        pick = np.stack([np.flatnonzero(c)[np.minimum(np.arange(L), k - 1)] for c, k in zip(counts, d)])
+        w = np.where(np.arange(L) < d[:, None], np.take_along_axis(counts, pick, axis=1), 0).astype(float)
+        assert (d < n).all() and (w == 0.0).any()
+
+        def rows(a, at):
+            return np.take_along_axis(a, at[:, :, None] if a.ndim == 3 else at, axis=1)
+
+        yd = rows(y, pick)
+        weighted = (_bernoulli_parts(gamma, rows(Z, pick), rows(m, pick), w, _workspace(S, L, 0, Z.shape[2])),
+                    _proportional_odds_parts(theta, rows(W, pick), _open_ends(yd, J), yd, w,
+                                             _workspace(S, L, J, W.shape[2])))
+        records = (_mediator_kernel(gamma, rows(Z, idx), rows(m, idx)),
+                   _outcome_kernel(theta, rows(W, idx), rows(y, idx), J))
+        for got, ref in zip(weighted, records):
+            assert np.array_equal(got[0] == -np.inf, ref[0] == -np.inf)
+            for s in range(S):
+                _assert_parts_close([part[s] for part in got], [part[s] for part in ref], 1e-12)
+
+    @pytest.mark.parametrize("case", ["j3", "saturated"])
+    def test_unit_weights_of_width_zero_skip_exact_multiplies(self, rng, case):
+        # a stack whose weights are all one passes them to the kernels as an
+        # (S, 0) array, which skips the multiplies: the bits are those of ones
+        (gamma, Z, m), (theta, W, y, J) = TestKernelsBitwise._stacks(rng, case)
+        S, n = y.shape
+
+        def bits(w):
+            return [r.tobytes() for r in (*_bernoulli_parts(gamma, Z, m, w, _workspace(S, n, 0, Z.shape[2])),
+                                          *_proportional_odds_parts(theta, W, _open_ends(y, J), y, w,
+                                                                    _workspace(S, n, J, W.shape[2])))]
+
+        assert bits(np.ones((S, 0))) == bits(np.ones((S, n)))
 
 
 class TestEvaluationCounts:
@@ -977,7 +1024,9 @@ class TestRankChecksAndStarts:
     def test_one_svd_decides_both_rank_checks(self, rng, monkeypatch):
         # a full-rank (1, x, m, x*m) has a full-rank (1, x), so (1, x) is
         # decomposed only where (1, x, m, x*m) is rank-deficient; errors and
-        # messages are those of the single fits, the mediator's first
+        # messages are those of the single fits, the mediator's first.  Both
+        # deficient datasets repeat records, so each is fitted apart, on its
+        # 6 and 43 distinct records padded to 7 and 56
         regular = [_sim(80, seed) for seed in range(6)]
         x = rng.normal(1.0, 1.0, 80)
         m = np.arange(80) % 2
@@ -989,7 +1038,7 @@ class TestRankChecksAndStarts:
         matrix_rank = np.linalg.matrix_rank
         monkeypatch.setattr(np.linalg, "matrix_rank", lambda a: shapes.append(a.shape) or matrix_rank(a))
         _, _, errors = _fit_pairs(_Stack.of(datasets))
-        assert shapes == [(8, 80, 4), (2, 80, 2)]
+        assert shapes == [(1, 7, 4), (1, 7, 2), (1, 56, 4), (1, 56, 2), (6, 80, 4)]
         for data, error in zip(datasets, errors):
             try:
                 fit_mediator(data)

@@ -17,6 +17,7 @@ import ordmed.estimation
 import ordmed.inference
 from ordmed import (
     ConvergenceError,
+    Dataset,
     DegenerateDataError,
     EffectQuery,
     MediatorModel,
@@ -32,6 +33,8 @@ from ordmed import (
     quantile,
     simulate_dataset,
 )
+from ordmed.estimation import _fit_pairs
+from ordmed.stacks import _record_groups, _resampled, _Stack
 from ordmed.inference import _BOOTSTRAP_DOMAIN
 from ordmed.numerics import keyed_stream
 
@@ -158,7 +161,8 @@ class TestBootstrapEffects:
 
     def test_resample_indices_are_pinned(self, monkeypatch):
         # a sparse J=5 B=200 run: resample b takes the rows that the
-        # SeedSequence-keyed stream (seed, 2, b) indexes, pinned as bytes
+        # SeedSequence-keyed stream (seed, 2, b) indexes, pinned as bytes;
+        # its problem holds those rows, each once, with its draw count as weight
         data = simulate_dataset(_sparse_design(300, 4242))
         stacks = []
 
@@ -172,9 +176,16 @@ class TestBootstrapEffects:
         digest = "748eb52f089e79fbb07075746ae376a4f17fdd9eb1862ccf27b5ebb93802d4cd"
         assert (idx.dtype, hashlib.sha256(idx.tobytes()).hexdigest()) == (np.int64, digest)
         assert len(np.unique(data.x)) == data.n  # so x identifies each row
-        for column in ("x", "m", "y", "covariates"):
-            got = np.concatenate([getattr(stack, column) for stack in stacks])
-            assert got.tobytes() == getattr(data, column)[idx].tobytes()
+        by_x = np.argsort(data.x)
+        problems = [(stack, s) for stack in stacks for s in range(len(stack.y))]
+        assert len(problems) == 200
+        for b, (stack, s) in enumerate(problems):
+            kept = stack.weights[s] > 0
+            rows = by_x[np.searchsorted(data.x[by_x], stack.x[s][kept])]
+            for column in ("x", "m", "y", "covariates"):
+                assert getattr(stack, column)[s][kept].tobytes() == getattr(data, column)[rows].tobytes()
+            counts = np.bincount(rows, stack.weights[s][kept], minlength=data.n)
+            assert counts.tobytes() == np.bincount(idx[b], minlength=data.n).astype(float).tobytes()
 
     def test_bitwise_deterministic(self):
         data = _study_dataset(60, seed=14)
@@ -296,6 +307,92 @@ class TestBootstrapEffects:
             k = result.labels.index(("tce", "1"))
             covered += int(result.ci_lower[k] <= TRUE_LOG_TCE_1 <= result.ci_upper[k])
         assert 0.90 <= covered / 200 <= 0.99
+
+
+class TestResamplesOnDistinctRecords:
+    """A resample that repeats a record is fitted on its distinct records
+    with their counts, as a fit of ``data.subset(idx)`` is; a resample
+    without a repeat is fitted on its records in draw order."""
+
+    @staticmethod
+    def _run(monkeypatch, data, B, seed):
+        # the stacks that bootstrap_effects fits, its errors, and its result or the error it raises
+        stacks, errors = [], []
+
+        def recorded(stack):
+            gamma, beta, stack_errors = fit_pairs(stack)
+            stacks.append(stack)
+            errors.extend(None if e is None else f"{type(e).__name__}: {e}" for e in stack_errors)
+            return gamma, beta, stack_errors
+
+        fit_pairs = ordmed.inference._fit_pairs
+        monkeypatch.setattr(ordmed.inference, "_fit_pairs", recorded)
+        try:
+            result = bootstrap_effects(data, QUERY, B, seed=seed)
+        except DegenerateDataError as exc:
+            result = exc
+        return stacks, errors, result
+
+    @staticmethod
+    def _enumerated(data, B, seed):
+        # per resample, its index draw, and its effect row or the error its fits raise
+        draws, rows, raised = [], [], []
+        for b in range(B):
+            idx = keyed_stream(seed, _BOOTSTRAP_DOMAIN, b).integers(0, data.n, size=data.n)
+            draws.append(idx)
+            sample = data.subset(idx)
+            try:
+                rows.append(effect_table(QUERY, fit_mediator(sample).model, fit_outcome(sample).model).flatten())
+                raised.append(None)
+            except (DegenerateDataError, ConvergenceError) as exc:
+                raised.append(f"{type(exc).__name__}: {exc}")
+        return draws, rows, raised
+
+    def test_repeated_records_equal_per_resample_fits(self, monkeypatch):
+        # binary exposure, no covariates, x = 0 written as both -0.0 and 0.0:
+        # every resample holds at most 2 * 2 * J = 12 distinct records, -0.0
+        # read as 0.0, and its fits are bitwise those of data.subset(idx)
+        rng = np.random.default_rng(5)
+        n = 120
+        x = np.where(rng.random(n) < 0.5, 1.0, np.where(rng.random(n) < 0.5, -0.0, 0.0))
+        m = (rng.random(n) < 0.3 + 0.4 * x).astype(np.int64)
+        y = 1 + (rng.random(n) < 0.4 + 0.2 * m) + (rng.random(n) < 0.2 + 0.3 * x)
+        data = Dataset(x, m, y, np.empty((n, 0)), 3, 0)
+        assert np.signbit(x).any() and (~np.signbit(x) & (x == 0.0)).any()
+        stacks, errors, result = self._run(monkeypatch, data, 60, seed=3)
+        _, rows, raised = self._enumerated(data, 60, seed=3)
+        assert errors == raised and result.failures == sum(e is not None for e in raised)
+        assert result.estimates.tobytes() == np.vstack(rows).tobytes()
+        for stack in stacks:
+            assert (np.count_nonzero(stack.weights, axis=1) <= 12).all()
+            assert not np.signbit(stack.x).any()
+        # the fits of a dataset with repeats do not depend on its record order, bit for bit
+        perm = rng.permutation(n)
+        for fit in (fit_mediator, fit_outcome):
+            a, b = fit(data), fit(data.subset(perm))
+            assert np.array([a.loglik, *a.standard_errors]).tobytes() == np.array(
+                [b.loglik, *b.standard_errors]).tobytes()
+            assert a == b
+
+    def test_a_resample_without_a_repeat_keeps_its_draw_order(self):
+        # n = 3, too few records to fit: about 6 resamples in 27 draw each
+        # record once, and those hold the records in draw order, -0.0 kept,
+        # with unit weights; every resample's problem is the one a fit of
+        # data.subset(idx) makes, and fails with its error
+        data = Dataset(np.array([-0.0, 1.0, 2.0]), np.array([0, 1, 1]), np.array([1, 2, 1]), np.empty((3, 0)), 2, 0)
+        idx = np.stack([keyed_stream(4, _BOOTSTRAP_DOMAIN, b).integers(0, 3, size=3) for b in range(300)])
+        stack = _resampled(data, *_record_groups(data), idx)
+        errors = _fit_pairs(stack)[2]
+        plain = 0
+        for b, draw in enumerate(idx):
+            one = _Stack.of([data.subset(draw)])
+            for column in ("x", "m", "y", "covariates", "weights"):
+                assert getattr(stack, column)[b].tobytes() == getattr(one, column)[0].tobytes()
+            assert f"{errors[b]}" == f"{_fit_pairs(one)[2][0]}"
+            if len(set(draw.tolist())) == 3:
+                plain += 1
+                assert stack.x[b].tobytes() == data.x[draw].tobytes() and (stack.weights[b] == 1.0).all()
+        assert 40 <= plain <= 90 and np.signbit(stack.x).any()
 
 
 class TestStackBudget:
