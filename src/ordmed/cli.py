@@ -75,6 +75,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if getattr(args, "handler", None) is None:
             raise CliError("a subcommand is required (effects, fit, analyze, simulate, mc-study)")
+        _outputs(args)
         return args.handler(args, argv)
     except ConvergenceError as exc:  # SeparationError included
         print(f"error: {exc}", file=sys.stderr)
@@ -380,16 +381,33 @@ def _write_files(files):
         raise
 
 
-def _write_report(args, metadata, body, tables):
+def _write_report(args, metadata, body, *tables):
     """Under --format json the document ``metadata`` followed by ``body``;
-    under --format csv every ``(path, records)`` table of ``tables``, whose
-    records come from the body and whose keys are the header, each headed by
-    ``metadata``."""
+    under --format csv each table of records from the body, whose keys are
+    the header, to its path of ``_outputs(args)``, headed by ``metadata``."""
     if args.format == "json":
         _write_files([(args.out, _write_json, {"metadata": dict(metadata), **body})])
     else:
         _write_files([(path, _write_csv, metadata, records[0], (record.values() for record in records))
-                      for path, records in tables])
+                      for (_, path), records in zip(_outputs(args), tables)])
+
+
+def _outputs(args):
+    """The files a command writes, as (flag, path): --out, and under --format
+    csv analyze's ``<out stem>_params.csv`` or mc-study's --raw-out.  Raises
+    CliError, before any work, when one is the input or another output."""
+    outputs = [("--out", args.out)]
+    suffix = {"analyze": "_params.csv", "mc-study": "_raw.csv"}.get(args.command)
+    if suffix and args.format == "csv":
+        out = Path(args.out)
+        outputs.append(("--raw-out", args.raw_out) if getattr(args, "raw_out", None)
+                       else (f"--out's {suffix} table", str(out.with_name(out.stem + suffix))))
+    inputs = [(f"--{flag}", getattr(args, flag)) for flag in ("params", "data") if hasattr(args, flag)]
+    for k, (what, path) in enumerate(outputs):
+        for flag, other in inputs + outputs[:k]:
+            if Path(path).resolve() == Path(other).resolve():
+                raise CliError(f"{what} {path} is the {flag} file {other}; no command writes over its own files")
+    return outputs
 
 
 def _none_if_nan(value):
@@ -445,7 +463,7 @@ def cmd_effects(args, argv):
     query = _query_from_args(args)
     entries = _effect_entries(effect_table(query, mediator, outcome))
     metadata = _metadata(argv, extra=[("x", repr(args.x)), ("xstar", repr(args.xstar))])
-    _write_report(args, metadata, {"effects": entries}, [(args.out, entries)])
+    _write_report(args, metadata, {"effects": entries}, entries)
     return EXIT_OK
 
 
@@ -459,7 +477,7 @@ def cmd_fit(args, argv):
         ("converged", "true"),  # a fit that does not converge raises instead
     ])
     body = {"mediator_fit": _fit_payload(med_fit), "outcome_fit": _fit_payload(out_fit)}
-    _write_report(args, metadata, body, [(args.out, _parameter_records(body))])
+    _write_report(args, metadata, body, _parameter_records(body))
     return EXIT_OK
 
 
@@ -495,10 +513,7 @@ def cmd_analyze(args, argv):
         tail, status = {}, EXIT_OK
 
     body = {"mediator_fit": _fit_payload(med_fit), "outcome_fit": _fit_payload(out_fit), "effects": entries, **tail}
-    _write_report(args, metadata, body, [
-        (args.out, entries),
-        (_sibling_path(args.out, "_params.csv"), _parameter_records(body)),
-    ])
+    _write_report(args, metadata, body, entries, _parameter_records(body))
     return status
 
 
@@ -516,9 +531,6 @@ def cmd_mc_study(args, argv):
     query = _query_from_args(args)
     if args.raw_out and args.format == "json":
         raise CliError("--raw-out applies to --format csv only; --format json holds every estimate in the --out file")
-    raw_path = args.raw_out if args.raw_out else _sibling_path(args.out, "_raw.csv")
-    if Path(raw_path).resolve() == Path(args.out).resolve():
-        raise CliError(f"--raw-out {raw_path} is the --out file")
     summary = monte_carlo_study(design, args.replications, query)
 
     metadata = _metadata(argv, seed=design.seed, randomized=True, extra=[
@@ -544,13 +556,8 @@ def cmd_mc_study(args, argv):
         for e in body["estimates"]
         for (eff, lvl), value in zip(summary.labels, e["values"])
     ]
-    _write_report(args, metadata, body, [(args.out, body["summary"]), (raw_path, raw)])
+    _write_report(args, metadata, body, body["summary"], raw)
     return EXIT_OK
-
-
-def _sibling_path(out, suffix):
-    path = Path(out)
-    return str(path.with_name(path.stem + suffix))
 
 
 if __name__ == "__main__":

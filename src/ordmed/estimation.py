@@ -22,8 +22,8 @@ both fits of a stack: the data checks and then the engine record into it,
 the engine runs only the problems without an error, and a failure never
 stops the rest of the stack.  The engine returns one record per stack,
 ``_Fits``: every problem's final parameters, Hessian, log-likelihood,
-max |gradient| and counts, as arrays.  A FitResult is one row of it; the
-resampling drivers read only the parameter rows.
+max |gradient| and counts, as arrays, and ``_fit_each`` hands each dataset
+its row: a FitResult, or the parameter rows that the resampling drivers read.
 
 A dataset that repeats a record is fitted on its distinct records with
 their counts as frequency weights, and a dataset without a repeat on its own
@@ -46,12 +46,14 @@ parameter rows: ``_bernoulli_parts`` for the mediator and
 ``_proportional_odds_parts`` for the outcome.  The Newton engine calls them
 as they are, and the public log-likelihoods and scores evaluate them on a
 dataset as a stack of one, so a fit's log-likelihood is bitwise the public
-one at its fitted model.  The engine makes one ``_workspace`` of (S, n)
-slots per run, and a kernel writes each record-sized temporary into the
-first S' rows of a slot, with the operations and operand order of a fresh
-allocation: the bits are the same, and no round allocates them afresh.  The
-outcome kernel's derivatives are written in density ratios f/pi, so a
-category probability near underflow never produces a NaN.
+one at its fitted model on data without a repeated record, and within 1e-15
+relative where the fit sums repeats as counts.  The engine makes one
+``_workspace`` of (S, n) slots per run, and a kernel writes each
+record-sized temporary into the first S' rows of a slot, with the operations
+and operand order of a fresh allocation: the bits are the same, and no round
+allocates them afresh.  The outcome kernel's derivatives are written in
+density ratios f/pi, so a category probability near underflow never
+produces a NaN.
 
 Both models are fitted in their natural parameters, and standard errors are
 sqrt(diag(inv(-H))) at the optimum.  The outcome thresholds need no
@@ -96,8 +98,8 @@ class FitResult:
     rejected candidates, so evaluations == 1 + iterations + halvings.
     ``fallback_steps`` counts iterations whose search direction was the
     damped gradient because the Newton direction was not an ascent
-    direction.  A fit that does not converge raises instead of returning, so
-    every FitResult is a converged fit.
+    direction.  ``gradient_norm`` is at most GRADIENT_TOL unless every halving
+    of the last step was rejected; a fit that stops any other way raises.
     """
 
     model: MediatorModel | OutcomeModel
@@ -198,22 +200,11 @@ def _fit_pairs(stack: _Stack):
     parameter rows of the mediator fits and of the outcome fits of the
     datasets that both fits succeed on, in stack order, and per dataset None
     or the error that ``fit_mediator`` and then ``fit_outcome`` raise on it."""
-    errors = [None] * len(stack.y)
-    K = stack.J - 1  # the rows of a J > n stack, whose record is zero-width, are (0, K + q)
-    ids, gammas, betas = [], [], []
-    for rows, part in _length_classes(stack):
-        part_errors = [None] * len(rows)
-        designs = _designs(part)
-        gamma = _solve_mediators(part, part_errors, designs).theta
-        beta = _solve_outcomes(part, part_errors, designs).theta
-        ok = np.equal(part_errors, None)
-        ids.append(rows[ok])
-        gammas.append(gamma[ok])
-        betas.append(beta[ok].reshape(-1, K + designs[0].shape[2]))
-        for s, error in zip(rows.tolist(), part_errors):
-            errors[s] = error
-    order = np.argsort(np.concatenate(ids))
-    return np.concatenate(gammas)[order], np.concatenate(betas)[order], errors
+    fitted = _fit_each(stack, (_solve_mediators, _solve_outcomes))
+    p = stack.covariates.shape[2]  # reshape gives an empty list of rows its width
+    gammas = np.array([fits[0].theta[i] for error, fits, i in fitted if error is None]).reshape(-1, 2 + p)
+    betas = np.array([fits[1].theta[i] for error, fits, i in fitted if error is None]).reshape(-1, stack.J + 2 + p)
+    return gammas, betas, [error for error, _, _ in fitted]
 
 
 def _fit_mediators(stack: _Stack):
@@ -226,38 +217,47 @@ def _fit_outcomes(stack: _Stack):
     """fit_outcome on each dataset of a stack: per dataset, a FitResult or
     the error."""
     K = stack.J - 1
-    return _fit_results(
-        stack, _solve_outcomes, lambda t: OutcomeModel(tuple(t[:K]), t[K], t[K + 1], t[K + 2], tuple(t[K + 3:]))
-    )
+    return _fit_results(stack, _solve_outcomes, lambda t: OutcomeModel(tuple(t[:K]), *t[K:K + 3], tuple(t[K + 3:])))
 
 
 def _fit_results(stack, solve, model_of):
-    # per dataset, the error that solve(stack, errors) records or the
-    # FitResult of its row of the record, with model_of(theta) as its model
-    results = [None] * len(stack.y)
-    for rows, part in _length_classes(stack):
-        errors = [None] * len(rows)
-        fits = solve(part, errors, _designs(part))
-        for i, s in enumerate(rows.tolist()):
-            results[s] = errors[i]
-            if errors[i] is None:
-                iterations, evaluations, halvings, fallback_steps = fits.counts[i].tolist()
-                ses = _standard_errors(-fits.hess[i:i + 1])[0]
-                results[s] = FitResult(model_of(fits.theta[i]), fits.loglik[i].item(), fits.gradient_norm[i].item(),
-                                       iterations, tuple(ses), evaluations, halvings, fallback_steps)
+    # per dataset, the error that solve records or the FitResult of its row, with model_of(theta) as its model
+    results = []
+    for error, (fits,), i in _fit_each(stack, (solve,)):
+        if error is None:
+            iterations, evaluations, halvings, fallback_steps = fits.counts[i].tolist()
+            ses = _standard_errors(-fits.hess[i:i + 1])[0]
+            error = FitResult(model_of(fits.theta[i]), fits.loglik[i].item(), fits.gradient_norm[i].item(),
+                              iterations, tuple(ses), evaluations, halvings, fallback_steps)
+        results.append(error)
     return results
 
 
+def _fit_each(stack: _Stack, solves):
+    """Run ``solves`` in order on each length class of a stack with one error
+    list and one ``_designs``.  Per dataset in stack order: None or the first
+    error recorded on it, its class's ``_Fits`` of each solve, and its row."""
+    fitted = [None] * len(stack.y)
+    for rows, part in _length_classes(stack):
+        errors = [None] * len(rows)
+        designs = _designs(part)
+        fits = [solve(part, errors, designs) for solve in solves]
+        for i, s in enumerate(rows.tolist()):
+            fitted[s] = errors[i], fits, i
+    return fitted
+
+
 def _designs(stack: _Stack):
-    # W, the Gram matrices of sqrt(w) A, A = (1, W), and the mask of the rank-deficient ones
+    # W, the Gram matrices of sqrt(w) A, A = (1, W), the mask of the rank-deficient ones, and the weights w of _weigh
+    w = stack.weights if (stack.weights != 1.0).any() else stack.weights[:, :0]
     W = _outcome_design(stack)
     A = np.concatenate([np.ones(W.shape[:2] + (1,)), W], axis=2)
-    _weigh(A, np.sqrt(_kernel_weights(stack))[:, :, None])
-    return W, A.mT @ A, np.linalg.matrix_rank(A) < A.shape[2]
+    _weigh(A, np.sqrt(w)[:, :, None])
+    return W, A.mT @ A, np.linalg.matrix_rank(A) < A.shape[2], w
 
 
 def _solve_mediators(stack: _Stack, errors, designs):
-    _, gram, deficient = designs
+    _, gram, deficient, w = designs
     both = (stack.m == 0).any(axis=1) & (stack.m == 1).any(axis=1)
     _fail(errors, ~both, lambda s: DegenerateDataError("mediator takes a single value; need both M=0 and M=1 to fit"))
     Z = _mediator_design(stack)
@@ -268,7 +268,6 @@ def _solve_mediators(stack: _Stack, errors, designs):
     _fail(errors, deficient, lambda s: DegenerateDataError(_DEFICIENT.format("mediator", "(1, x, c)")))
     cols = np.r_[0, 1, 4:gram.shape[2]]  # the (1, x, c) block of A's Gram matrix is Z's
     z = (2.0 * stack.m - 1.0) * (math.log(3.0) + 4.0 / 3.0)  # glm's working response at mu = (m + 1/2)/2
-    w = _kernel_weights(stack)
     theta0 = _least_squares(errors, gram[:, cols[:, None], cols], (Z.mT @ _weigh(z, w)[:, :, None])[:, :, 0])
     return _newton_maximize(_bernoulli_parts, theta0, (Z, stack.m.astype(float), w), (Z.shape[1], 0, Z.shape[2]),
                             "mediator model", errors)
@@ -278,7 +277,7 @@ def _solve_outcomes(stack: _Stack, errors, designs):
     S, L = stack.y.shape
     n = stack.n
     J, K = stack.J, stack.J - 1
-    W, gram, deficient = designs
+    W, gram, deficient, w = designs
     if J > n:  # some level is never observed: fail before sizing anything by J
         error = DegenerateDataError(f"{J} outcome levels but only {n} records; every level must appear at least once")
         _fail(errors, np.ones(S, dtype=bool), lambda s: error)
@@ -301,20 +300,13 @@ def _solve_outcomes(stack: _Stack, errors, designs):
     p = np.concatenate([cum[:, :-1], cum - 0.5 * counts], axis=1) / n  # K cumulative, J mid-cumulative
     with np.errstate(divide="ignore"):  # a problem with an empty level has failed
         logits = np.log(p / (1.0 - p))
-    t = logits.ravel()[stack.y + np.arange(K - 1, S * (J + K), J + K)[:, None]]  # each record's mid-cumulative logit
-    w = _kernel_weights(stack)
-    _weigh(t, w)
+    t = _weigh(logits.ravel()[stack.y + np.arange(K - 1, S * (J + K), J + K)[:, None]], w)  # w times the record logits
     rhs = np.concatenate([t.sum(axis=1)[:, None], (W.mT @ t[:, :, None])[:, :, 0]], axis=1)  # A^T t
     del t  # the outcome kernel sets the memory peak
     beta0 = _least_squares(errors, gram, rhs)[:, 1:]
     alpha0 = logits[:, :K] + (np.vecdot(gram[:, 0, 1:], beta0) / n)[:, None]
     return _newton_maximize(_proportional_odds_parts, np.concatenate([alpha0, beta0], axis=1),
                             (W, _open_ends(stack.y, J), stack.y, w), (L, J, W.shape[2]), "outcome model", errors)
-
-
-def _kernel_weights(stack):
-    # the kernels' frequency weights: of width 0 when every weight is one (see _weigh)
-    return stack.weights if (stack.weights != 1.0).any() else stack.weights[:, :0]
 
 
 def _fail(errors, mask, error_of):

@@ -1130,6 +1130,39 @@ class TestFailedWrites:
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+class TestOwnFiles:
+    """A command whose output resolves to its input or to another of its
+    outputs exits 1 before any work, names both flags, and leaves every file
+    as it was (mc-study's two outputs: ``test_raw_out_may_not_be_the_summary_file``)."""
+
+    @pytest.mark.parametrize("command", ["fit", "analyze", "effects"])
+    def test_no_output_over_an_input_or_an_output(self, tmp_path, monkeypatch, capsys, command):
+        data_csv = tmp_path / "g_params.csv"
+        assert main(["simulate", *SPARSE_FLAGS, "--seed", "7", "--out", str(data_csv)]) == EXIT_OK
+        params = tmp_path / "p.json"
+        params.write_bytes((DATA_DIR / "params_j3.json").read_bytes())
+        query = ["--x", "3.5", "--xstar", "2"]
+        argv, flags = {
+            "fit": (["fit", "--data", str(data_csv), "--out", f"{tmp_path}/sub/../g_params.csv"],
+                    ("--out", "--data")),
+            "analyze": (["analyze", "--data", str(data_csv), *query, "--bootstrap", "0", "--out", f"{tmp_path}/g.csv"],
+                        ("--out's _params.csv table", "--data")),
+            "effects": (["effects", "--params", str(params), *query, "--format", "json", "--out", str(params)],
+                        ("--out", "--params")),
+        }[command]
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        def work(*args, **kwargs):
+            raise AssertionError("the command started its work")
+
+        for name in ("_read_data_csv", "_load_params"):
+            monkeypatch.setattr(ordmed.cli, name, work)
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flags[0]} ") and f" is the {flags[1]} file " in err
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 class TestProcessEntry:
     """``python -m ordmed.cli`` ends through ``run``: the exit codes and the
     output bytes are those of ``main`` in-process."""
